@@ -106,13 +106,23 @@ u64 sweep_groups_max(core::ThreadedMiddlebox& mbox, const char* nf_name) {
   return h->merged.max();
 }
 
+constexpr Time kHousekeeping = 5 * kMillisecond;
+
+/// Per-tick sweep budget of a hop (DESIGN.md §15), restated so the drill
+/// checks the chain's bound independently: one rotation per
+/// max(8 ticks, idle_timeout / 8), i.e. ceil(groups / rotation_ticks).
+u64 sweep_budget(u64 groups, Time idle_timeout) {
+  const u64 ticks = std::max<u64>(8, idle_timeout / 8 / kHousekeeping);
+  return (groups + ticks - 1) / ticks;
+}
+
 core::SprayerConfig drill_cfg(u32 cores, Time idle_timeout, u32 capacity,
                               u32 segments) {
   core::SprayerConfig cfg;
   cfg.num_cores = cores;
   cfg.mode = core::DispatchMode::kSpray;
   cfg.overload_policy = OverloadPolicy::kBlock;  // closed loop: no shedding
-  cfg.housekeeping_interval = 5 * kMillisecond;
+  cfg.housekeeping_interval = kHousekeeping;
   cfg.state.kind = state::StateStrategyKind::kWritingPartition;
   cfg.lifecycle.idle_timeout = idle_timeout;
   cfg.lifecycle.flow_table_capacity = capacity;
@@ -136,8 +146,9 @@ int run_monitor(u32 cores, u64 live_target, double hold_s, u64 seed) {
   const u32 capacity = std::max<u32>(
       1024,
       static_cast<u32>(std::bit_ceil(live_target / (cores * u64{8}))));
-  core::ThreadedMiddlebox mbox(drill_cfg(cores, 3600 * kSecond, capacity, 8),
-                               monitor, std::move(sink));
+  constexpr Time kIdle = 3600 * kSecond;
+  core::ThreadedMiddlebox mbox(drill_cfg(cores, kIdle, capacity, 8), monitor,
+                               std::move(sink));
   mbox.start();
   Driver drv{pool, mbox};
 
@@ -268,10 +279,11 @@ int run_monitor(u32 cores, u64 live_target, double hold_s, u64 seed) {
   const auto totals = monitor.aggregate();
   const auto stats = mbox.total_stats();
   const u64 sweep_max = sweep_groups_max(mbox, "monitor");
-  // Auto sweep budget on the deepest-grown shard (max(64, groups/8)).
-  const u64 budget = std::max<u64>(
-      64, (static_cast<u64>(capacity) / core::FlowTable::kGroupWidth) *
-              peak.segments_max / 8);
+  // Sweep budget on the deepest-grown shard.
+  const u64 budget = sweep_budget(
+      static_cast<u64>(capacity) / core::FlowTable::kGroupWidth *
+          peak.segments_max,
+      kIdle);
   mbox.stop();
 
   const u64 leaked =
@@ -329,7 +341,8 @@ int run_nat(u32 cores, u64 sessions, double hold_s) {
   };
   // Sessions are never FIN-closed: the 60ms pair-idle expiry is the only
   // path back to the pool. Default 64k capacity, growth off.
-  core::ThreadedMiddlebox mbox(drill_cfg(cores, 60 * kMillisecond, 0, 1), nat,
+  constexpr Time kIdle = 60 * kMillisecond;
+  core::ThreadedMiddlebox mbox(drill_cfg(cores, kIdle, 0, 1), nat,
                                std::move(sink));
   mbox.start();
   Driver drv{pool, mbox};
@@ -378,7 +391,7 @@ int run_nat(u32 cores, u64 sessions, double hold_s) {
   const u64 ports_leaked = nat.port_pool().claimed();
   const u64 sweep_max = sweep_groups_max(mbox, "nat");
   const u64 budget =
-      std::max<u64>(64, ((1u << 16) / core::FlowTable::kGroupWidth) / 8);
+      sweep_budget((1u << 16) / core::FlowTable::kGroupWidth, kIdle);
   mbox.stop();
 
   std::printf(

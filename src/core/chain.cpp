@@ -5,6 +5,21 @@
 
 namespace sprayer::core {
 
+namespace {
+
+/// Housekeeping ticks per sweep rotation: one rotation per
+/// max(8 ticks, idle_timeout / 8). An idle flow then expires within
+/// 1.125x its timeout (8 ticks past it for short timeouts), and a table
+/// whose flows live for minutes is scanned in slices small enough to keep
+/// the sweep out of the packet path's latency.
+u64 rotation_ticks(Time idle_timeout, Time tick) noexcept {
+  constexpr u64 kMinTicks = 8;
+  if (tick == 0) return kMinTicks;
+  return std::max<u64>(kMinTicks, idle_timeout / 8 / tick);
+}
+
+}  // namespace
+
 Time chain_clock_ns() noexcept {
   return static_cast<Time>(
              std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -17,7 +32,8 @@ ChainBase::ChainBase(std::vector<INetworkFunction*> hops)
     : hops_(std::move(hops)),
       hop_stateless_(hops_.size(), 0),
       hop_tm_(hops_.size()),
-      hop_idle_(hops_.size(), 0) {
+      hop_idle_(hops_.size(), 0),
+      hop_rotation_(hops_.size(), 0) {
   SPRAYER_CHECK_MSG(!hops_.empty(), "a chain needs at least one hop");
   for (const INetworkFunction* nf : hops_) {
     SPRAYER_CHECK_MSG(nf != nullptr, "chain hop must not be null");
@@ -28,8 +44,6 @@ void ChainBase::init(const ChainInit& ci) {
   SPRAYER_CHECK_MSG(ci.hop_cfgs.size() == hops_.size(),
                     "ChainInit::hop_cfgs must have one slot per hop");
   timed_ = ci.hop_timing && ci.registry != nullptr;
-  sweep_ = ci.lifecycle_sweep;
-  sweep_groups_per_tick_ = ci.sweep_groups_per_tick;
   for (u32 h = 0; h < hops_.size(); ++h) {
     hops_[h]->init(ci.hop_cfgs[h], ci.num_cores);
     hop_stateless_[h] = ci.hop_cfgs[h].stateless ? 1 : 0;
@@ -38,13 +52,20 @@ void ChainBase::init(const ChainInit& ci) {
     hop_idle_[h] = ci.idle_timeout_override != 0
                        ? ci.idle_timeout_override
                        : ci.hop_cfgs[h].flow_idle_timeout;
+    // Only idle aging needs the sweep: a stateless hop has no table, and
+    // idle timeout 0 disables aging (FIN/RST teardown and NAT's TIME_WAIT
+    // queue run without it).
+    hop_rotation_[h] =
+        ci.lifecycle_sweep && hop_stateless_[h] == 0 && hop_idle_[h] != 0
+            ? rotation_ticks(hop_idle_[h], ci.housekeeping_interval)
+            : 0;
     if (ci.registry != nullptr) {
       const std::string prefix =
           "chain.h" + std::to_string(h) + "." + hops_[h]->name();
       hop_tm_[h].packets = ci.registry->counter(prefix + ".packets");
       hop_tm_[h].drops = ci.registry->counter(prefix + ".drops");
       if (timed_) hop_tm_[h].ns = ci.registry->counter(prefix + ".ns");
-      if (sweep_ && !ci.hop_cfgs[h].stateless) {
+      if (hop_rotation_[h] != 0) {
         hop_tm_[h].expired = ci.registry->counter(prefix + ".expired");
         hop_tm_[h].sweep_ns = ci.registry->histogram(prefix + ".sweep_ns", 7);
         hop_tm_[h].sweep_groups =
@@ -63,24 +84,18 @@ void ChainBase::housekeeping(std::span<NfContext* const> ctxs, Time now) {
     // attribute its accesses to the flow-event column.
     ctx.flows().set_in_connection_handler(true);
     hops_[h]->housekeeping(ctx);
-    // The lifecycle sweep runs for every stateful hop, even at idle
-    // timeout 0: NFs with their own expiry semantics (NAT's TIME_WAIT
-    // deadline) expire entries through flow_expired() regardless.
-    if (sweep_ && hop_stateless_[h] == 0) sweep_hop(h, ctx);
+    if (hop_rotation_[h] != 0) sweep_hop(h, ctx);
   }
 }
 
 void ChainBase::sweep_hop(u32 h, NfContext& ctx) {
   FlowStateApi& flows = ctx.flows();
-  // Auto budget: an eighth of the table per tick — a full rotation every 8
-  // housekeeping ticks regardless of capacity, so expiry latency tracks the
-  // tick interval, not the provisioned size. The 64-group floor keeps tiny
-  // tables rotating in one call.
-  const u32 budget =
-      sweep_groups_per_tick_ != 0
-          ? sweep_groups_per_tick_
-          : static_cast<u32>(
-                std::max<u64>(64, flows.local().total_groups() / 8));
+  // ceil(groups / rotation) per tick finishes a rotation within the hop's
+  // rotation period whatever the capacity. Re-derived every call: online
+  // growth adds segments.
+  const u64 rotation = hop_rotation_[h];
+  const u32 budget = static_cast<u32>(
+      (flows.local().total_groups() + rotation - 1) / rotation);
   const Time idle = hop_idle_[h];
   INetworkFunction* nf = hops_[h];
   const Time t0 = chain_clock_ns();

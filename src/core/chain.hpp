@@ -59,15 +59,15 @@ struct ChainInit {
   /// batch, so it is opt-in (SprayerConfig::chain_hop_timing).
   bool hop_timing = false;
   /// Lifecycle sweep (DESIGN.md §15): housekeeping() drives each stateful
-  /// hop's cursor-bounded idle-aging sweep. NAT's TIME_WAIT reaping also
-  /// rides on it, so leave this on unless the hop set is stateless.
+  /// hop's cursor-bounded idle-aging sweep.
   bool lifecycle_sweep = true;
   /// Override of every hop's idle timeout (0 keeps the value each NF's
   /// init() left in its NfInitConfig).
   Time idle_timeout_override = 0;
-  /// Tag groups swept per hop per housekeeping tick; 0 = automatic
-  /// (max(64, total_groups / 8): a full rotation every 8 ticks).
-  u32 sweep_groups_per_tick = 0;
+  /// Period of the housekeeping() calls (SprayerConfig::
+  /// housekeeping_interval). Each hop's sweep spreads one rotation over
+  /// max(8 ticks, idle_timeout / 8); 0 (no periodic tick) keeps 8 ticks.
+  Time housekeeping_interval = 0;
 };
 
 /// Monotonic nanosecond clock for per-hop timing (threaded executor).
@@ -153,16 +153,16 @@ class ChainBase : public IChain {
   }
 
   /// One sweep_idle() increment for hop `h` (called from housekeeping once
-  /// per stateful hop per tick).
+  /// per tick for every hop with a non-zero rotation).
   void sweep_hop(u32 h, NfContext& ctx);
 
   std::vector<INetworkFunction*> hops_;
   std::vector<u8> hop_stateless_;
   std::vector<HopMetrics> hop_tm_;
   std::vector<Time> hop_idle_;  // effective per-hop idle timeout
+  // Housekeeping ticks per sweep rotation; 0 = the hop is never swept.
+  std::vector<u64> hop_rotation_;
   bool timed_ = false;
-  bool sweep_ = true;
-  u32 sweep_groups_per_tick_ = 0;  // 0 = auto budget
 };
 
 /// Type-erased chain: per-hop virtual dispatch over INetworkFunction.

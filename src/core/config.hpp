@@ -93,19 +93,22 @@ struct AdaptiveSprayConfig {
 /// Flow-state lifecycle (DESIGN.md §15): idle aging driven by the
 /// housekeeping tick's cursor-bounded sweep, and opt-in segmented online
 /// growth of the flow tables.
+///
+/// Each stateful hop's sweep completes one rotation of its table every
+/// max(8 housekeeping ticks, idle_timeout / 8), scanning
+/// ceil(total_groups / rotation_ticks) tag groups per tick: an idle flow
+/// expires within 1.125x its timeout (8 ticks past it for short
+/// timeouts), and the per-tick scan shrinks as the timeout grows instead
+/// of tracking the provisioned capacity.
 struct LifecycleConfig {
   /// Master switch for the per-hop idle-aging sweep. FIN/RST teardown and
-  /// NAT's TIME_WAIT reaping also ride on the sweep, so turning it off
-  /// reverts NAT to no housekeeping at all.
+  /// NAT's TIME_WAIT reaping (a per-core deadline queue run from the NF's
+  /// own housekeeping) do not depend on it.
   bool sweep = true;
   /// Override of every stateful hop's idle timeout (0 keeps each NF's own
-  /// default — 60 s for monitor/firewall/LB, 120 s for NAT).
+  /// default — 60 s for monitor/firewall/LB, 120 s for NAT). Also sets the
+  /// sweep's rotation period (above).
   Time idle_timeout = 0;
-  /// Tag groups each hop's sweep scans per housekeeping tick. 0 = automatic:
-  /// max(64, total_groups / 8), i.e. a full rotation every 8 ticks no matter
-  /// the table size, so expiry latency tracks the housekeeping interval
-  /// instead of the provisioned capacity.
-  u32 sweep_groups_per_tick = 0;
   /// Override of every stateful hop's flow-table capacity (0 keeps each
   /// NF's own init() value). Power of two.
   u32 flow_table_capacity = 0;

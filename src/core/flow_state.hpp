@@ -29,9 +29,12 @@
 // remote tables — and sweep_idle() drives the table's cursor-bounded group
 // sweep, gating expiry on owns_flow_events() so strategies whose tables
 // hold ALL flows (replication replicas, the shared table) expire each flow
-// exactly once, on its designated core.
+// exactly once, on its designated core. Under replication a read stamps
+// the reading core's own replica, so the owner judges each expiry
+// candidate by the newest stamp across replicas (newest_stamp()).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <span>
@@ -350,7 +353,8 @@ class FlowStateApi {
   /// table (the owned shard, the full replica, or the shared table — each
   /// core keeps its own cursor). Scans up to `max_groups` tag groups,
   /// collects entries for which `pred(key, entry, last_seen)` returns true
-  /// AND this core owns the flow's lifecycle events, then invokes
+  /// AND this core owns the flow's lifecycle events (under replication,
+  /// pred must also hold for the newest stamp across replicas), then invokes
   /// `on_expire(key, hash)` for each — after the scan, so the hook may
   /// freely mutate the table (remove the flow, its NAT pair, ...). At most
   /// kSweepCandidates expire per call; the rest are caught on the next
@@ -376,6 +380,8 @@ class FlowStateApi {
     // (and the predicate's pair probes) are ordered against structural
     // writers; the other strategies scan their own table lock-free.
     const bool shared = strat_.kind == state::StateStrategyKind::kSharedLocked;
+    const bool replicated =
+        strat_.kind == state::StateStrategyKind::kReplication;
     if (shared) {
       ++counters_.lock_acquisitions;
       strat_.lock->lock_all();
@@ -391,6 +397,15 @@ class FlowStateApi {
           // holding all flows expire each one exactly once system-wide.
           const FlowHash h = FlowTable::hash_of(key);
           if (!owns_flow_events(h)) return;
+          // Replication: traffic served by other cores stamped their
+          // replicas, not this one — re-judge by the newest stamp.
+          if (replicated) {
+            const Time newest = newest_stamp(key, h, last_seen);
+            if (newest != last_seen &&
+                !pred(key, static_cast<const void*>(entry), newest)) {
+              return;
+            }
+          }
           cand[n++] = Candidate{key, h};
         });
     if (shared) strat_.lock->unlock_all();
@@ -398,6 +413,28 @@ class FlowStateApi {
     st.expired = n;
     return st;
   }
+
+  /// Newest activity stamp of a flow whose local entry carries `stamp`.
+  /// Under replication every read stamps the reading core's own replica,
+  /// so this raises `stamp` to the newest one across replicas (one
+  /// find_remote per replica — housekeeping only, never the data path);
+  /// elsewhere the local table is the only one stamped and `stamp` is
+  /// returned as is. Never lowers the stamp: a stale or torn remote read
+  /// can only postpone an expiry.
+  [[nodiscard]] Time newest_stamp(const net::FiveTuple& key, FlowHash hash,
+                                  Time stamp) const noexcept {
+    if (strat_.kind != state::StateStrategyKind::kReplication) return stamp;
+    for (CoreId c = 0; c < tables_.size(); ++c) {
+      if (c == core_) continue;
+      const void* e = tables_[c]->find_remote(key, hash);
+      if (e != nullptr) stamp = std::max(stamp, FlowTable::last_seen(e));
+    }
+    return stamp;
+  }
+
+  /// Tag groups this core's sweep has scanned so far (the cursor only
+  /// moves forward), so a caller can observe the per-tick scan budget.
+  [[nodiscard]] u64 sweep_cursor() const noexcept { return sweep_cursor_; }
 
   /// Framework side: set by the engine before invoking a handler.
   void set_in_connection_handler(bool v) noexcept { in_conn_ = v; }

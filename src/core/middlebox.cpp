@@ -171,7 +171,7 @@ SimMiddlebox::SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg,
   chain_init.num_cores = cfg_.num_cores;
   chain_init.lifecycle_sweep = cfg_.lifecycle.sweep;
   chain_init.idle_timeout_override = cfg_.lifecycle.idle_timeout;
-  chain_init.sweep_groups_per_tick = cfg_.lifecycle.sweep_groups_per_tick;
+  chain_init.housekeeping_interval = cfg_.housekeeping_interval;
   chain_.init(chain_init);
   stateless_chain_ = true;
   for (u32 h = 0; h < hops; ++h) {

@@ -219,9 +219,9 @@ class INetworkFunction {
   /// Lifecycle hook (DESIGN.md §15): should this entry expire now? Called
   /// from the housekeeping sweep on the flow's designated core, for entries
   /// in this NF's table. The default is plain idle aging against the hop's
-  /// idle timeout; NFs with richer per-entry state (NAT's TIME_WAIT
-  /// deadline, paired entries) override it. Must not mutate state — return
-  /// true and do the teardown in on_expire().
+  /// idle timeout; NFs with richer per-entry state (NAT's paired entries)
+  /// override it. Only called for hops with a non-zero idle timeout. Must
+  /// not mutate state — return true and do the teardown in on_expire().
   [[nodiscard]] virtual bool flow_expired(const net::FiveTuple& key,
                                           const void* entry, Time last_seen,
                                           Time idle_timeout, NfContext& ctx) {

@@ -145,7 +145,7 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
   chain_init.hop_timing = cfg_.chain_hop_timing;
   chain_init.lifecycle_sweep = cfg_.lifecycle.sweep;
   chain_init.idle_timeout_override = cfg_.lifecycle.idle_timeout;
-  chain_init.sweep_groups_per_tick = cfg_.lifecycle.sweep_groups_per_tick;
+  chain_init.housekeeping_interval = cfg_.housekeeping_interval;
   chain_.init(chain_init);
   if (cfg_.telemetry) registry_.finalize();
   stateless_chain_ = true;

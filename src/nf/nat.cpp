@@ -116,17 +116,56 @@ void NatNf::close_session(const net::FiveTuple& tuple, Entry& e,
     pair->state = SessionState::kTimeWait;
     pair->expires = deadline;
   }
+  std::call_once(time_wait_once_, [this] {
+    time_wait_.resize(kMaxCores);
+    time_wait_ready_.store(true, std::memory_order_release);
+  });
+  time_wait_[ctx.core()].records.push_back(
+      TimeWaitRecord{tuple, core::FlowTable::hash_of(tuple), deadline});
   m_closed_.add(ctx.core());
 }
 
 void NatNf::abort_session(const net::FiveTuple& tuple, Entry& e,
                           core::NfContext& ctx) {
+  remove_session(tuple, e, ctx);
+  m_closed_.add(ctx.core());
+}
+
+void NatNf::remove_session(const net::FiveTuple& tuple, const Entry& e,
+                           core::NfContext& ctx) {
+  // Read everything off the entry before the first remove frees its slot.
   const u16 port = external_port(tuple, e);
   const net::FiveTuple pair = pair_key(tuple, e);
   (void)ctx.flows().remove_local_flow(tuple);
   (void)ctx.flows().remove_local_flow(pair);
   ports_.release(port);
-  m_closed_.add(ctx.core());
+}
+
+void NatNf::housekeeping(core::NfContext& ctx) {
+  if (!time_wait_ready_.load(std::memory_order_acquire)) return;
+  TimeWaitQueue& q = time_wait_[ctx.core()];
+  const Time now = ctx.now();
+  while (q.head < q.records.size() && q.records[q.head].deadline <= now) {
+    const TimeWaitRecord r = q.records[q.head++];
+    // The record is stale unless the session is still in the TIME_WAIT it
+    // queued: a SYN revived it, an RST after revival removed it, or a later
+    // close queued a newer deadline.
+    auto* e = static_cast<Entry*>(ctx.flows().get_local_flow(r.key, r.hash));
+    if (e == nullptr || e->state != SessionState::kTimeWait ||
+        e->expires != r.deadline) {
+      continue;
+    }
+    remove_session(r.key, *e, ctx);
+    m_expired_.add(ctx.core());
+  }
+  // Drop the done prefix once it is at least half the vector: each record
+  // is moved at most once on average, and memory follows the TIME_WAIT
+  // population.
+  if (q.head * 2 >= q.records.size()) {
+    q.records.erase(q.records.begin(),
+                    q.records.begin() + static_cast<std::ptrdiff_t>(q.head));
+    q.head = 0;
+  }
 }
 
 bool NatNf::flow_expired(const net::FiveTuple& key, const void* entry,
@@ -136,38 +175,35 @@ bool NatNf::flow_expired(const net::FiveTuple& key, const void* entry,
   // removes both directions and frees the port exactly once. The paired
   // return entry rides along and never expires on its own.
   const auto* e = static_cast<const Entry*>(entry);
-  if (e->rewrite_dst != 0) return false;
-  if (e->state == SessionState::kTimeWait) {
-    return e->expires <= ctx.now();
+  if (e->rewrite_dst != 0 || e->state != SessionState::kActive ||
+      idle_timeout == 0) {
+    return false;
   }
-  if (e->state != SessionState::kActive || idle_timeout == 0) return false;
   const Time now = ctx.now();
   if (last_seen + idle_timeout > now) return false;
   // Active sessions expire only when BOTH directions are idle: return
   // traffic refreshes the pair's stamp, not ours. Non-touching read of the
-  // pair's stamp straight off the local table.
-  const void* pair = ctx.flows().local().find_local(pair_key(key, *e));
+  // pair's stamp off the local table, raised to the newest replica's.
+  const net::FiveTuple pk = pair_key(key, *e);
+  const auto ph = core::FlowTable::hash_of(pk);
+  const void* pair = ctx.flows().local().find_local(pk, ph);
   return pair == nullptr ||
-         core::FlowTable::last_seen(pair) + idle_timeout <= now;
+         ctx.flows().newest_stamp(pk, ph, core::FlowTable::last_seen(pair)) +
+                 idle_timeout <=
+             now;
 }
 
 void NatNf::on_expire(const net::FiveTuple& key,
                       core::FlowTable::FlowHash hash, core::NfContext& ctx) {
   // Re-fetch through the API: the sweep's candidate pass ended before this
   // call, and an earlier expiry in the same batch may already have removed
-  // this session (it was its pair).
+  // this session (it was its pair). Only active sessions idle out.
   auto* e = static_cast<Entry*>(ctx.flows().get_local_flow(key, hash));
-  if (e == nullptr || e->state == SessionState::kInvalid) return;
-  const bool was_active = e->state == SessionState::kActive;
-  const u16 port = external_port(key, *e);
-  const net::FiveTuple pair = pair_key(key, *e);
-  (void)ctx.flows().remove_local_flow(key, hash);
-  (void)ctx.flows().remove_local_flow(pair);
-  ports_.release(port);
+  if (e == nullptr || e->state != SessionState::kActive) return;
+  remove_session(key, *e, ctx);
   m_expired_.add(ctx.core());
-  // Graceful closes were already counted by close_session; an idle-aged
-  // active session is a close nobody announced.
-  if (was_active) m_closed_.add(ctx.core());
+  // An idle-aged session is a close nobody announced.
+  m_closed_.add(ctx.core());
 }
 
 void NatNf::connection_packets(runtime::PacketBatch& batch,

@@ -12,7 +12,19 @@
 // server's FIN) and state reads would look elsewhere. We guarantee it by
 // claiming a port whose reverse tuple maps back to the claiming core
 // (expected #cores tries — see PortPool::claim_matching).
+//
+// TIME_WAIT sessions are reaped from a per-core deadline queue, not by the
+// idle sweep: close_session() appends (key, hash, deadline) to the queue
+// of the core that ran the close, and that core's housekeeping() pops
+// every record whose deadline has passed. time_wait is one constant, so append order is
+// deadline order (the one-bucket case of a Varghese–Lauck timing wheel)
+// and the port comes back within one housekeeping tick of the deadline,
+// however slowly the sweep rotates.
 #pragma once
+
+#include <atomic>
+#include <mutex>
+#include <vector>
 
 #include "core/nf.hpp"
 #include "net/checksum.hpp"
@@ -28,18 +40,23 @@ struct NatConfig {
   /// Middlebox port facing the private network.
   u8 inside_port = 0;
   /// TIME_WAIT: after both FINs, the session keeps translating (trailing
-  /// ACKs, retransmitted FINs) for this long before the housekeeping sweep
-  /// removes it and releases the port. 0 = remove immediately. Real NATs
-  /// use minutes; simulated experiments run seconds.
+  /// ACKs, retransmitted FINs) for this long; the first housekeeping tick
+  /// past the deadline removes it and releases the port. 0 = remove
+  /// immediately. Real NATs use minutes; simulated experiments run seconds.
   Time time_wait = 50 * kMillisecond;
 };
 
 class NatNf final : public core::INetworkFunction {
  public:
+  static constexpr u32 kMaxCores = 64;
+
   explicit NatNf(NatConfig cfg = {})
       : cfg_(cfg), ports_(cfg.port_lo, cfg.port_hi) {}
 
   void init(core::NfInitConfig& init, u32 num_cores) override {
+    SPRAYER_CHECK_MSG(num_cores <= kMaxCores,
+                      "NatNf keeps one TIME_WAIT queue per core, up to "
+                      "kMaxCores");
     init.flow_table_capacity = 1u << 16;
     init.flow_entry_size = sizeof(Entry);
     init.flow_idle_timeout = 120 * kSecond;  // idle sessions release ports
@@ -61,11 +78,13 @@ class NatNf final : public core::INetworkFunction {
   /// shared per-batch metadata instead of being re-derived per hop.
   void regular_packets(runtime::PacketBatch& batch, core::BatchMeta& meta,
                        core::NfContext& ctx, core::BatchVerdicts& verdicts);
-  /// Lifecycle hooks (the framework's bounded sweep replaces the old
-  /// full-table housekeeping scan). A session expires when its TIME_WAIT
-  /// deadline passes, or — for active sessions — when BOTH directions have
-  /// been idle past the timeout. Only the rewrite-source (outbound) entry
-  /// triggers expiry, so the port is released exactly once.
+  /// Reaps this core's TIME_WAIT sessions whose deadline has passed.
+  void housekeeping(core::NfContext& ctx) override;
+  /// Lifecycle hooks for idle aging (the framework's bounded sweep): an
+  /// active session expires when BOTH directions have been idle past the
+  /// timeout. Only the rewrite-source (outbound) entry triggers expiry, so
+  /// the port is released exactly once. TIME_WAIT sessions are left to the
+  /// deadline queue.
   [[nodiscard]] bool flow_expired(const net::FiveTuple& key, const void* entry,
                                   Time last_seen, Time idle_timeout,
                                   core::NfContext& ctx) override;
@@ -88,7 +107,7 @@ class NatNf final : public core::INetworkFunction {
     u64 port_exhausted = 0;
     u64 unmatched_dropped = 0;
     u64 table_full = 0;        // SYNs refused because the table had no room
-    u64 sessions_expired = 0;  // reclaimed by the sweep (TIME_WAIT or idle)
+    u64 sessions_expired = 0;  // reclaimed by housekeeping (TIME_WAIT or idle)
   };
   [[nodiscard]] NatCounters counters() const noexcept {
     return NatCounters{tm_.total(m_opened_),         tm_.total(m_closed_),
@@ -122,21 +141,45 @@ class NatNf final : public core::INetworkFunction {
 
   /// Handle SYN of a new outbound session; returns the entry or nullptr.
   Entry* open_session(const net::FiveTuple& tuple, core::NfContext& ctx);
-  /// Graceful close: both directions enter TIME_WAIT (still translating);
-  /// the housekeeping sweep removes them at the deadline.
+  /// Graceful close: both directions enter TIME_WAIT (still translating)
+  /// and the session joins this core's deadline queue.
   void close_session(const net::FiveTuple& tuple, Entry& e,
                      core::NfContext& ctx);
   /// Immediate teardown (RST, or time_wait == 0).
   void abort_session(const net::FiveTuple& tuple, Entry& e,
                      core::NfContext& ctx);
+  /// Remove both directions of the session `tuple`/`e` belongs to and
+  /// return its port to the pool.
+  void remove_session(const net::FiveTuple& tuple, const Entry& e,
+                      core::NfContext& ctx);
   /// External port of the session `tuple`/`e` belongs to.
   [[nodiscard]] static u16 external_port(const net::FiveTuple& t,
                                          const Entry& e) noexcept {
     return e.rewrite_dst ? t.dst_port : e.new_port;
   }
 
+  /// One graceful close awaiting its TIME_WAIT deadline.
+  struct TimeWaitRecord {
+    net::FiveTuple key;
+    core::FlowTable::FlowHash hash;
+    Time deadline;
+  };
+  /// One core's graceful closes in deadline order; records before `head`
+  /// are done. Touched only by that core's worker, and cache-line aligned
+  /// so neighbouring cores' queues never share a line.
+  struct alignas(64) TimeWaitQueue {
+    std::vector<TimeWaitRecord> records;
+    std::size_t head = 0;
+  };
+
   NatConfig cfg_;
   PortPool ports_;
+  // kMaxCores queues, indexed by core. Allocated by the first graceful
+  // close rather than in init(), so a NAT that never sees a FIN allocates
+  // nothing; housekeeping skips them until `time_wait_ready_` is set.
+  std::vector<TimeWaitQueue> time_wait_;
+  std::once_flag time_wait_once_;
+  std::atomic<bool> time_wait_ready_{false};
   telemetry::RegistrySlot tm_;
   telemetry::Counter m_opened_;
   telemetry::Counter m_closed_;

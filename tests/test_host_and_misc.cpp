@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 
 #include "common/rng.hpp"
 #include "net/packet_builder.hpp"
@@ -96,16 +97,25 @@ TEST(Host, RstTerminatesEstablishedConnection) {
 TEST(WorkerGroup, StartStopAndWorkDistribution) {
   runtime::WorkerGroup group;
   EXPECT_FALSE(group.running());
-  std::atomic<u64> iterations{0};
   std::array<std::atomic<u64>, 3> per_core{};
   group.start(3, [&](CoreId core) {
-    iterations.fetch_add(1, std::memory_order_relaxed);
     per_core[core].fetch_add(1, std::memory_order_relaxed);
     return false;  // "no work": workers must still keep polling
   });
   EXPECT_TRUE(group.running());
   EXPECT_EQ(group.size(), 3u);
-  while (iterations.load(std::memory_order_relaxed) < 300) {
+  // Wait until every worker has run, not for an iteration total: on a
+  // loaded host one worker can spin hundreds of times before the scheduler
+  // first runs another.
+  const auto all_ran = [&] {
+    for (const auto& c : per_core) {
+      if (c.load(std::memory_order_relaxed) == 0) return false;
+    }
+    return true;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!all_ran() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
   group.stop();

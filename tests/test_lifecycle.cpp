@@ -3,7 +3,10 @@
 // expiry contracts — FIN teardown leaves no state behind, idle aging
 // releases NAT ports, retransmitted FINs never close a half-open
 // connection, and growth absorbs load beyond the provisioned capacity
-// while readers run.
+// while readers run. The simulator tests pin the sweep's timing exactly:
+// expiry within one rotation of the timeout, a per-tick scan of
+// ceil(groups / rotation_ticks), and live flows kept alive under every
+// state strategy.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,12 +20,15 @@
 #include "core/core_picker.hpp"
 #include "core/flow_state.hpp"
 #include "core/flow_table.hpp"
+#include "core/middlebox.hpp"
 #include "core/threaded.hpp"
 #include "net/packet_builder.hpp"
 #include "nf/load_balancer.hpp"
 #include "nf/monitor.hpp"
 #include "nf/nat.hpp"
 #include "nic/pktgen.hpp"
+#include "sim/link.hpp"
+#include "sim/simulator.hpp"
 #include "state/strategy.hpp"
 
 namespace sprayer::core {
@@ -540,6 +546,193 @@ TEST(IdleAging, ActiveTrafficKeepsSessionsAlive) {
       << "sweep expired sessions with live traffic";
   EXPECT_EQ(nat.port_pool().claimed(), flows.size());
   mbox.stop();
+}
+
+// --- simulated time: exact expiry bounds and keep-alive under every strategy -
+
+/// A SimMiddlebox between inside (port 0) and outside (port 1) injection
+/// links and sinks that free whatever leaves, remembering the last
+/// forwarded tuple. Housekeeping runs on simulated time: core c's ticks
+/// land at every multiple of the interval, and stepping the clock one
+/// interval at a time runs exactly one tick per core.
+struct SimRig {
+  class FreeSink final : public sim::IPacketSink {
+   public:
+    void receive(net::Packet* pkt) override {
+      if (pkt->parse()) last = pkt->five_tuple();
+      pkt->pool()->free(pkt);
+    }
+    net::FiveTuple last{};
+  };
+
+  static sim::LinkConfig ingress_port(u8 port) {
+    sim::LinkConfig cfg;
+    cfg.egress_port_label = port;
+    return cfg;
+  }
+
+  sim::Simulator sim;
+  net::PacketPool pool{4096, 256};
+  FreeSink sink;
+  SimMiddlebox mbox;
+  sim::Link in0;
+  sim::Link in1;
+  sim::Link out0;
+  sim::Link out1;
+
+  SimRig(const SprayerConfig& cfg, INetworkFunction& nf)
+      : mbox(sim, cfg, nf),
+        in0(sim, ingress_port(0), mbox.ingress(), "in0"),
+        in1(sim, ingress_port(1), mbox.ingress(), "in1"),
+        out0(sim, sim::LinkConfig{}, sink, "out0"),
+        out1(sim, sim::LinkConfig{}, sink, "out1") {
+    mbox.attach_tx_link(0, out0);
+    mbox.attach_tx_link(1, out1);
+  }
+
+  /// Send one TCP packet from the inside (or the outside). Same (tuple,
+  /// flags, seed) gives the same bytes, hence the same TCP checksum and the
+  /// same spray core.
+  void send(const net::FiveTuple& t, u8 flags, bool outside = false) {
+    const u64 payload_seed = 1;
+    u8 payload[8];
+    std::memcpy(payload, &payload_seed, sizeof(payload));
+    net::TcpSegmentSpec spec;
+    spec.tuple = t;
+    spec.flags = flags;
+    spec.payload_len = sizeof(payload);
+    spec.payload = payload;
+    (outside ? in1 : in0).send(net::build_tcp_raw(pool, spec));
+  }
+
+  void advance(Time dt) { sim.run_until(sim.now() + dt); }
+};
+
+SprayerConfig sim_cfg(state::StateStrategyKind kind, Time tick, Time idle) {
+  SprayerConfig cfg;
+  cfg.num_cores = kCores;
+  cfg.mode = DispatchMode::kSpray;
+  cfg.housekeeping_interval = tick;
+  cfg.state.kind = kind;
+  cfg.lifecycle.idle_timeout = idle;
+  return cfg;
+}
+
+TEST(SimAging, MonitorExpiresWithinOneRotationAndScansItsBudget) {
+  // T / 8 > 8H, so the rotation period is T / 8 (25 ticks), not 8 ticks.
+  constexpr Time kTick = 10 * kMillisecond;
+  constexpr Time kIdle = 2 * kSecond;
+  constexpr u64 kRotationTicks = kIdle / 8 / kTick;
+  static_assert(kRotationTicks > 8);
+  constexpr Time kRotation = kIdle / 8;
+
+  nf::MonitorNf monitor;
+  SimRig rig(sim_cfg(state::StateStrategyKind::kWritingPartition, kTick,
+                     kIdle),
+             monitor);
+  const net::FiveTuple flow = tuple_of(7);
+  rig.send(flow, net::TcpFlags::kSyn);
+  rig.advance(kMillisecond);
+  FlowTable& table = rig.mbox.flow_table(rig.mbox.picker().pick(flow));
+  ASSERT_EQ(table.size(), 1u);
+  Time last_seen = 0;
+  table.for_each([&](const net::FiveTuple&, void* entry) {
+    last_seen = FlowTable::last_seen(entry);
+  });
+  ASSERT_GT(last_seen, 0u);
+
+  const u64 budget =
+      (table.total_groups() + kRotationTicks - 1) / kRotationTicks;
+  std::vector<u64> cursor(kCores);
+  for (u32 c = 0; c < kCores; ++c) {
+    cursor[c] = rig.mbox.context(static_cast<CoreId>(c)).flows().sweep_cursor();
+  }
+  const Time present_until = last_seen + kIdle - kTick;
+  const Time gone_by = last_seen + kIdle + kRotation + kTick;
+  while (rig.sim.now() < gone_by) {
+    // Step to the next tick boundary: exactly one housekeeping tick per core.
+    rig.sim.run_until((rig.sim.now() / kTick + 1) * kTick);
+    for (u32 c = 0; c < kCores; ++c) {
+      const u64 now_at =
+          rig.mbox.context(static_cast<CoreId>(c)).flows().sweep_cursor();
+      ASSERT_LE(now_at - cursor[c], budget)
+          << "core " << c << " scanned past ceil(groups / rotation_ticks) "
+          << "in one tick at t=" << to_seconds(rig.sim.now());
+      cursor[c] = now_at;
+    }
+    if (rig.sim.now() <= present_until) {
+      ASSERT_EQ(table.size(), 1u)
+          << "expired early at t=" << to_seconds(rig.sim.now());
+    }
+  }
+  EXPECT_EQ(table.size(), 0u) << "not expired within one rotation";
+  EXPECT_EQ(monitor.aggregate().connections_expired, 1u);
+  // The sweep really rotated: more than one full pass over the table.
+  EXPECT_GT(cursor[0], table.total_groups());
+}
+
+/// ACKs every 5 ms against a 60 ms timeout, for four timeouts, in one
+/// direction only: outbound (the session lives on the outbound entry's
+/// stamp) or on the return path (it lives on the pair entry's stamp, which
+/// NAT's pair-idle check reads).
+void sim_keepalive_under(state::StateStrategyKind kind, bool return_path) {
+  constexpr Time kTick = 5 * kMillisecond;
+  constexpr Time kIdle = 60 * kMillisecond;
+  nf::NatNf nat;
+  SimRig rig(sim_cfg(kind, kTick, kIdle), nat);
+  std::vector<net::FiveTuple> acked;  // the tuple each session's ACKs carry
+  for (const auto& f : nic::random_tcp_flows(8, 23)) {
+    rig.send(f, net::TcpFlags::kSyn);
+    rig.advance(kMillisecond);
+    acked.push_back(return_path ? rig.sink.last.reversed() : f);
+  }
+  ASSERT_EQ(nat.counters().sessions_opened, acked.size());
+
+  // Each session's ACK is one fixed packet, so it always lands on one core.
+  // Find that core; the test only bites when some ACK lands away from the
+  // session's designated core (under replication that core stamps its own
+  // replica, not the owner's).
+  u32 away = 0;
+  for (const auto& t : acked) {
+    const MiddleboxReport before = rig.mbox.report();
+    rig.send(t, net::TcpFlags::kAck, return_path);
+    rig.advance(kMillisecond);
+    const MiddleboxReport after = rig.mbox.report();
+    for (u32 c = 0; c < kCores; ++c) {
+      if (after.per_core[c].regular_packets !=
+              before.per_core[c].regular_packets &&
+          c != rig.mbox.picker().pick(t)) {
+        ++away;
+      }
+    }
+  }
+  ASSERT_GT(away, 0u) << "every ACK sprays to its designated core";
+
+  for (Time t = 0; t < 4 * kIdle; t += kTick) {
+    for (const auto& a : acked) rig.send(a, net::TcpFlags::kAck, return_path);
+    rig.advance(kTick);
+  }
+  EXPECT_EQ(nat.counters().sessions_expired, 0u)
+      << "sweep expired live sessions under " << state::to_string(kind);
+  EXPECT_EQ(nat.port_pool().claimed(), acked.size());
+
+  // Silence: now every session must idle out within one rotation.
+  rig.advance(kIdle + 8 * kTick + kTick);
+  EXPECT_EQ(nat.counters().sessions_expired, acked.size());
+  EXPECT_EQ(nat.port_pool().claimed(), 0u);
+}
+
+TEST(SimAging, KeepAliveWritingPartition) {
+  sim_keepalive_under(state::StateStrategyKind::kWritingPartition, false);
+  sim_keepalive_under(state::StateStrategyKind::kWritingPartition, true);
+}
+TEST(SimAging, KeepAliveReplication) {
+  sim_keepalive_under(state::StateStrategyKind::kReplication, false);
+  sim_keepalive_under(state::StateStrategyKind::kReplication, true);
+}
+TEST(SimAging, KeepAliveSharedLocked) {
+  sim_keepalive_under(state::StateStrategyKind::kSharedLocked, false);
+  sim_keepalive_under(state::StateStrategyKind::kSharedLocked, true);
 }
 
 // --- table_full: the silent-drop bug is now observable -----------------------

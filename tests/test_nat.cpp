@@ -3,6 +3,8 @@
 // session lifecycle (SYN/FIN/RST), pool exhaustion, and end-to-end TCP.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/middlebox.hpp"
 #include "net/checksum.hpp"
 #include "nf/nat.hpp"
@@ -232,18 +234,69 @@ TEST(Nat, TwoFinsCloseTheSession) {
 
   EXPECT_EQ(b.nat.counters().sessions_closed, 1u);
   // TIME_WAIT: the translation lingers and the port stays claimed until
-  // the housekeeping sweep passes the deadline.
+  // the deadline.
   EXPECT_EQ(b.nat.port_pool().claimed(), 1u);
-  EXPECT_GT(b.mbox.flow_table(b.mbox.picker().pick(kFlow)).size(), 0u);
+  core::FlowTable& table = b.mbox.flow_table(b.mbox.picker().pick(kFlow));
+  EXPECT_GT(table.size(), 0u);
+  // The close stamped both entries: TIME_WAIT runs from that instant.
+  Time closed_at = 0;
+  table.for_each([&](const net::FiveTuple&, void* entry) {
+    closed_at = std::max(closed_at, core::FlowTable::last_seen(entry));
+  });
+  const Time deadline = closed_at + NatConfig{}.time_wait;
 
   // A trailing ACK (the close handshake's last segment) still translates.
   const auto before_out = b.out.size();
   b.send_inside(kFlow, net::TcpFlags::kAck, 99);
   EXPECT_EQ(b.out.size(), before_out + 1);
 
-  // After TIME_WAIT expires the sweep releases everything.
-  b.sim.run_until(b.sim.now() + from_seconds(0.2));
+  // Held until the deadline, released by the first housekeeping tick past
+  // it — however far the idle sweep's rotation has to go.
+  b.sim.run_until(deadline - kMicrosecond);
+  EXPECT_EQ(b.nat.port_pool().claimed(), 1u);
+  EXPECT_EQ(b.nat.counters().sessions_expired, 0u);
+  b.sim.run_until(deadline + b.mbox.config().housekeeping_interval);
   EXPECT_EQ(b.nat.port_pool().claimed(), 0u);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(b.nat.counters().sessions_expired, 1u);
+}
+
+TEST(Nat, RevivedSessionOutlivesItsStaleTimeWaitDeadline) {
+  // A SYN during TIME_WAIT revives the session, so the queued deadline
+  // goes stale; a second close queues a fresh one. Only that one may
+  // release the port.
+  NatBench b;
+  b.send_inside(kFlow, net::TcpFlags::kSyn);
+  ASSERT_TRUE(b.out[0]->parse());
+  const net::FiveTuple back = b.out[0]->five_tuple().reversed();
+  sim::Link outside_link(b.sim, NatBench::make_in_cfg(1), b.mbox.ingress(),
+                         "in1");
+  const Time tick = b.mbox.config().housekeeping_interval;
+  const Time time_wait = NatConfig{}.time_wait;
+  auto close_both_ways = [&] {
+    b.send_inside(kFlow, net::TcpFlags::kFin | net::TcpFlags::kAck);
+    net::TcpSegmentSpec spec;
+    spec.tuple = back;
+    spec.flags = net::TcpFlags::kFin | net::TcpFlags::kAck;
+    outside_link.send(net::build_tcp_raw(b.pool, spec));
+    const Time sent = b.sim.now();
+    b.sim.run_until(sent + kMillisecond);
+    return sent;  // the close ran within the millisecond after this
+  };
+
+  const Time first_close = close_both_ways();
+  ASSERT_EQ(b.nat.counters().sessions_closed, 1u);
+  b.send_inside(kFlow, net::TcpFlags::kSyn);  // revive
+  EXPECT_EQ(b.nat.counters().sessions_opened, 2u);
+  b.sim.run_until(first_close + kMillisecond + time_wait + tick);
+  EXPECT_EQ(b.nat.port_pool().claimed(), 1u) << "stale deadline reaped";
+  EXPECT_EQ(b.nat.counters().sessions_expired, 0u);
+
+  const Time second_close = close_both_ways();
+  ASSERT_EQ(b.nat.counters().sessions_closed, 2u);
+  b.sim.run_until(second_close + kMillisecond + time_wait + tick);
+  EXPECT_EQ(b.nat.port_pool().claimed(), 0u);
+  EXPECT_EQ(b.nat.counters().sessions_expired, 1u);
   EXPECT_EQ(b.mbox.flow_table(b.mbox.picker().pick(kFlow)).size(), 0u);
 }
 
