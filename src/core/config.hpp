@@ -171,9 +171,8 @@ struct SprayerConfig {
   /// `telemetry`). Off by default.
   telemetry::TraceConfig trace;
   /// How cores share flow state (DESIGN.md §14): the paper's writing
-  /// partition (default), state-compute replication, or the shared
-  /// striped-lock baseline. Executors build their table topology and
-  /// engine hooks from this.
+  /// partition (default) or state-compute replication. Executors build
+  /// their table topology and engine hooks from this.
   state::StateStrategyConfig state;
   /// Flow-state lifecycle: idle aging sweep + segmented table growth.
   LifecycleConfig lifecycle;

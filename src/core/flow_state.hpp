@@ -18,8 +18,6 @@
 //     designated core is the replication sequencer), but every mutation is
 //     also logged for sync-frame broadcast, and every read is served from
 //     the local replica — no cross-core table access on the regular path.
-//   * shared-locked — one shared table: writes take every lock stripe,
-//     reads take the key's stripe and copy the entry out under it.
 //
 // Every call charges its modeled CPU cost to the calling core.
 //
@@ -27,16 +25,15 @@
 // `last_seen` stamp — writes and local lookups touch it outright, read
 // paths touch it at a coarse granularity to avoid cache-line ping-pong on
 // remote tables — and sweep_idle() drives the table's cursor-bounded group
-// sweep, gating expiry on owns_flow_events() so strategies whose tables
-// hold ALL flows (replication replicas, the shared table) expire each flow
-// exactly once, on its designated core. Under replication a read stamps
-// the reading core's own replica, so the owner judges each expiry
-// candidate by the newest stamp across replicas (newest_stamp()).
+// sweep, gating expiry on owns_flow_events() so replicas, which hold ALL
+// flows, expire each flow exactly once, on its designated core. Under
+// replication a read stamps the reading core's own replica, so the owner
+// judges each expiry candidate by the newest stamp across replicas
+// (newest_stamp()).
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -75,7 +72,6 @@ struct StrategyCounters {
   RelaxedU64 remote_reads;          // writing-partition: cross-core lookups
   RelaxedU64 remote_reads_avoided;  // replication: foreign-designated flows
                                     // served from the local replica
-  RelaxedU64 lock_acquisitions;     // shared-locked: one per locked API call
 };
 
 /// One sweep_idle() call's worth of work, for housekeeping telemetry.
@@ -103,24 +99,12 @@ class FlowStateApi {
         costs_(costs),
         cycles_(cycle_sink) {}
 
-  /// Attach the strategy view (executors call this right after building
-  /// contexts; the default-constructed view is plain writing partition, so
-  /// standalone uses — unit tests driving NfContext directly — need not).
-  void configure_strategy(const state::CoreStateView& view) {
+  /// Attach the strategy view (ChainAssembly calls this right after
+  /// building contexts; the default-constructed view is plain writing
+  /// partition, so standalone uses — unit tests driving NfContext
+  /// directly — need not).
+  void configure_strategy(const state::CoreStateView& view) noexcept {
     strat_ = view;
-    if (strat_.kind == state::StateStrategyKind::kSharedLocked &&
-        !tables_.empty()) {
-      // Copy-out ring for locked reads: entries are copied under the stripe
-      // so a concurrent insert's slot reuse can't yank the bytes from under
-      // the reader. Deep enough that one get_flows batch never wraps.
-      scratch_entry_size_ = tables_[0]->entry_size();
-      scratch_slots_ = 2 * state::StripedLock::kMaxStripes;
-      locked_scratch_ = std::make_unique<u8[]>(
-          static_cast<std::size_t>(scratch_slots_) * scratch_entry_size_);
-    }
-  }
-  [[nodiscard]] state::StateStrategyKind state_kind() const noexcept {
-    return strat_.kind;
   }
   [[nodiscard]] const char* strategy_name() const noexcept {
     return state::to_string(strat_.kind);
@@ -146,8 +130,7 @@ class FlowStateApi {
   }
 
   /// True when this core owns the flow's lifecycle events — housekeeping
-  /// sweeps gate on it so strategies whose tables hold ALL flows
-  /// (replication replicas, the shared-locked table) expire each flow
+  /// sweeps gate on it so replicas, which hold ALL flows, expire each flow
   /// exactly once instead of once per core.
   [[nodiscard]] bool owns_flow_events(FlowHash hash) const noexcept {
     return designated_core(hash) == core_;
@@ -158,15 +141,15 @@ class FlowStateApi {
   }
 
   /// Insert a flow entry; returns the zeroed entry (or the existing one),
-  /// nullptr when the table is full. Under writing partition and
-  /// replication this core must be the flow's designated core (violations
-  /// throw, naming the active strategy and core).
+  /// nullptr when the table is full. This core must be the flow's
+  /// designated core (violations throw, naming the active strategy and
+  /// core).
   [[nodiscard]] void* insert_local_flow(const net::FiveTuple& flow_id) {
     return insert_local_flow(flow_id, FlowTable::hash_of(flow_id));
   }
   [[nodiscard]] void* insert_local_flow(const net::FiveTuple& flow_id,
                                         FlowHash hash) {
-    SPRAYER_CHECK_MSG(may_write_flow(hash),
+    SPRAYER_CHECK_MSG(owns_flow_events(hash),
                       write_violation("insert_local_flow", flow_id, hash));
     cycles_ += costs_.flow_insert;
     count_write();
@@ -179,12 +162,6 @@ class FlowStateApi {
         e = local().insert(flow_id, hash);
         if (e != nullptr) strat_.log->record_upsert(flow_id, hash, strat_.hop);
         break;
-      case state::StateStrategyKind::kSharedLocked:
-        ++counters_.lock_acquisitions;
-        strat_.lock->lock_all();
-        e = local().insert(flow_id, hash);
-        strat_.lock->unlock_all();
-        break;
     }
     if (e != nullptr) FlowTable::touch(e, now_);
     return e;
@@ -195,7 +172,7 @@ class FlowStateApi {
     return remove_local_flow(flow_id, FlowTable::hash_of(flow_id));
   }
   bool remove_local_flow(const net::FiveTuple& flow_id, FlowHash hash) {
-    SPRAYER_CHECK_MSG(may_write_flow(hash),
+    SPRAYER_CHECK_MSG(owns_flow_events(hash),
                       write_violation("remove_local_flow", flow_id, hash));
     cycles_ += costs_.flow_remove;
     count_write();
@@ -205,13 +182,6 @@ class FlowStateApi {
       case state::StateStrategyKind::kReplication: {
         const bool removed = local().remove(flow_id, hash);
         if (removed) strat_.log->record_remove(flow_id, hash, strat_.hop);
-        return removed;
-      }
-      case state::StateStrategyKind::kSharedLocked: {
-        ++counters_.lock_acquisitions;
-        strat_.lock->lock_all();
-        const bool removed = local().remove(flow_id, hash);
-        strat_.lock->unlock_all();
         return removed;
       }
     }
@@ -237,16 +207,6 @@ class FlowStateApi {
         e = local().find_local(flow_id, hash);
         if (e != nullptr) strat_.log->record_upsert(flow_id, hash, strat_.hop);
         break;
-      case state::StateStrategyKind::kSharedLocked:
-        // The stripe only guards the probe; the returned pointer is mutated
-        // after release. Two cores mutating the same flow's entry race —
-        // the strawman's inherent unsoundness (DESIGN.md §14), which the
-        // writing partition and replication exist to remove.
-        ++counters_.lock_acquisitions;
-        strat_.lock->lock_stripe(hash);
-        e = local().find_local(flow_id, hash);
-        strat_.lock->unlock_stripe(hash);
-        break;
     }
     if (e != nullptr) FlowTable::touch(e, now_);
     return e;
@@ -254,8 +214,7 @@ class FlowStateApi {
 
   /// Read-only entry lookup; nullptr if absent. Writing partition reads the
   /// designated core's table (the constness is the paper's contract: only
-  /// the designated core may write); replication reads the local replica;
-  /// shared-locked copies the entry out under the key's stripe.
+  /// the designated core may write); replication reads the local replica.
   [[nodiscard]] const void* get_flow(const net::FiveTuple& flow_id) {
     return get_flow(flow_id, FlowTable::hash_of(flow_id));
   }
@@ -282,9 +241,6 @@ class FlowStateApi {
         if (e != nullptr) FlowTable::touch_if_stale(e, now_, kTouchGranularity);
         return e;
       }
-      case state::StateStrategyKind::kSharedLocked:
-        cycles_ += costs_.flow_lookup_remote;
-        return locked_copy_out(flow_id, hash);
     }
     return nullptr;
   }
@@ -293,8 +249,7 @@ class FlowStateApi {
   /// misses with software prefetch (FlowTable::find_batch), so each lookup
   /// is charged the cheaper batched cost. out[i] is nullptr for absent
   /// flows. `hashes[i]` must be hash_of(flow_ids[i]) — typically the
-  /// packets' memoized rx-descriptor hashes. Shared-locked cannot pipeline
-  /// across stripes and degrades to locked scalar lookups.
+  /// packets' memoized rx-descriptor hashes.
   void get_flows(std::span<const net::FiveTuple> flow_ids,
                  std::span<const FlowHash> hashes, std::span<const void*> out);
 
@@ -325,20 +280,12 @@ class FlowStateApi {
         cycles_ += costs_.flow_lookup_local;
         if (designated_core(hash) != core_) ++counters_.remote_reads_avoided;
         return local().read_consistent(flow_id, hash, out);
-      case state::StateStrategyKind::kSharedLocked: {
-        cycles_ += costs_.flow_lookup_remote;
-        ++counters_.lock_acquisitions;
-        strat_.lock->lock_stripe(hash);
-        const bool ok = local().read_consistent(flow_id, hash, out);
-        strat_.lock->unlock_stripe(hash);
-        return ok;
-      }
     }
     return false;
   }
 
-  /// This core's table: the owned shard (writing partition), the full
-  /// replica (replication), or the one shared table (shared-locked).
+  /// This core's table: the owned shard (writing partition) or the full
+  /// replica (replication).
   [[nodiscard]] FlowTable& local() noexcept { return *tables_[core_]; }
   [[nodiscard]] const FlowTable& table(CoreId c) const noexcept {
     return *tables_[c];
@@ -350,23 +297,16 @@ class FlowStateApi {
   [[nodiscard]] Time now() const noexcept { return now_; }
 
   /// One bounded increment of the idle-aging sweep over this core's local
-  /// table (the owned shard, the full replica, or the shared table — each
-  /// core keeps its own cursor). Scans up to `max_groups` tag groups,
-  /// collects entries for which `pred(key, entry, last_seen)` returns true
-  /// AND this core owns the flow's lifecycle events (under replication,
-  /// pred must also hold for the newest stamp across replicas), then invokes
+  /// table (the owned shard or the full replica — each core keeps its own
+  /// cursor). Scans up to `max_groups` tag groups, collects entries for
+  /// which `pred(key, entry, last_seen)` returns true AND this core owns
+  /// the flow's lifecycle events (under replication, pred must also hold
+  /// for the newest stamp across replicas), then invokes
   /// `on_expire(key, hash)` for each — after the scan, so the hook may
   /// freely mutate the table (remove the flow, its NAT pair, ...). At most
   /// kSweepCandidates expire per call; the rest are caught on the next
   /// rotation.
   static constexpr u32 kSweepCandidates = 256;
-  /// Shared-locked scan gate: other cores mutate entry bytes outside any
-  /// lock (the strawman's torn-read contract), so the sweep only
-  /// dereferences entries that have been write-quiescent for this long.
-  /// Every write path touches the stamp first, and each core's per-tick
-  /// lock_all round (below) orders writes that old before this scan's
-  /// acquire — several housekeeping intervals with margin.
-  static constexpr Time kSharedSweepQuiescence = 40 * kMillisecond;
   template <typename Pred, typename Expire>
   SweepStats sweep_idle(u32 max_groups, Pred&& pred, Expire&& on_expire) {
     struct Candidate {
@@ -376,21 +316,12 @@ class FlowStateApi {
     std::array<Candidate, kSweepCandidates> cand;
     u32 n = 0;
     SweepStats st;
-    // Shared-locked: hold every stripe for the scan so slot/tag/key reads
-    // (and the predicate's pair probes) are ordered against structural
-    // writers; the other strategies scan their own table lock-free.
-    const bool shared = strat_.kind == state::StateStrategyKind::kSharedLocked;
     const bool replicated =
         strat_.kind == state::StateStrategyKind::kReplication;
-    if (shared) {
-      ++counters_.lock_acquisitions;
-      strat_.lock->lock_all();
-    }
     st.groups = local().sweep_groups(
         sweep_cursor_, max_groups,
         [&](const net::FiveTuple& key, void* entry, Time last_seen) {
           if (n >= cand.size()) return;
-          if (shared && last_seen + kSharedSweepQuiescence > now_) return;
           if (!pred(key, static_cast<const void*>(entry), last_seen)) return;
           // Hash only the expiry candidates (the Toeplitz LUT is too dear
           // to run per live slot), then gate on event ownership so tables
@@ -408,7 +339,6 @@ class FlowStateApi {
           }
           cand[n++] = Candidate{key, h};
         });
-    if (shared) strat_.lock->unlock_all();
     for (u32 i = 0; i < n; ++i) on_expire(cand[i].key, cand[i].hash);
     st.expired = n;
     return st;
@@ -446,13 +376,6 @@ class FlowStateApi {
   }
 
  private:
-  [[nodiscard]] bool may_write_flow(FlowHash hash) const noexcept {
-    // Shared-locked has no write partition: flow events run wherever the
-    // packet arrived and the lock serializes structure.
-    return strat_.kind == state::StateStrategyKind::kSharedLocked ||
-           designated_core(hash) == core_;
-  }
-
   /// Satellite of DESIGN.md §14: violations name the active strategy and
   /// the cores involved, so a replication misconfiguration is not
   /// misreported as a "writing-partition violation".
@@ -463,29 +386,6 @@ class FlowStateApi {
            " on core " + std::to_string(core_) + ", but core " +
            std::to_string(designated_core(hash)) +
            " is the designated core for " + flow_id.to_string();
-  }
-
-  /// Shared-locked read: copy the entry into the scratch ring under the
-  /// key's stripe (pointer-stable against concurrent slot reuse; the copy
-  /// itself may still observe a torn in-place update, the same torn-read
-  /// contract find_remote documents).
-  [[nodiscard]] const void* locked_copy_out(const net::FiveTuple& flow_id,
-                                            FlowHash hash) {
-    ++counters_.lock_acquisitions;
-    strat_.lock->lock_stripe(hash);
-    const void* e = local().find_remote(flow_id, hash);
-    if (e != nullptr) {
-      // Touch the real entry (not the copy the caller sees) so the sweep on
-      // the designated core sees the activity.
-      FlowTable::touch_if_stale(e, now_, kTouchGranularity);
-      u8* slot = locked_scratch_.get() +
-                 static_cast<std::size_t>(scratch_next_) * scratch_entry_size_;
-      std::memcpy(slot, e, scratch_entry_size_);
-      scratch_next_ = (scratch_next_ + 1) % scratch_slots_;
-      e = slot;
-    }
-    strat_.lock->unlock_stripe(hash);
-    return e;
   }
 
   void count_read() noexcept {
@@ -505,11 +405,6 @@ class FlowStateApi {
   bool in_conn_ = false;
   bool bulk_enabled_ = true;
   state::CoreStateView strat_;
-  // Shared-locked copy-out ring (see locked_copy_out).
-  std::unique_ptr<u8[]> locked_scratch_;
-  u32 scratch_entry_size_ = 0;
-  u32 scratch_slots_ = 0;
-  u32 scratch_next_ = 0;
   FlowAccessStats access_;
   StrategyCounters counters_;
 };
@@ -521,8 +416,8 @@ class FlowStateApi {
 /// `target`. Routing NAT through this helper (instead of a hand-rolled
 /// predicate next to the PortPool) is what keeps "designated" from
 /// drifting between the state strategies and the port allocator — under
-/// replication and shared-locked, every replica/core must derive the same
-/// port for the same flow or state diverges. `pool` needs
+/// replication every replica must derive the same port for the same flow
+/// or state diverges. `pool` needs
 /// claim_matching(pred) (nf::PortPool's shape; templated so core/ does not
 /// depend on nf/).
 template <typename Pool>

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <mutex>
+#include <new>
 
 #ifdef __linux__
 #include <sys/mman.h>
@@ -69,6 +71,54 @@ void racy_copy(u8* dst, const u8* src, u32 n) noexcept {
 
 constexpr std::size_t kHugePage = 2u << 20;
 
+/// Heap arrays of destroyed tables, handed to the next table of the same
+/// size. Whether malloc returns freed arrays to the OS depends on what else
+/// sits at the top of its heap, so without this a middlebox torn down and
+/// rebuilt (tests, the benchmark suite's set-up loop) re-faulted all its
+/// table pages on some rebuilds and not on others: 14 ms instead of 4 ms
+/// per construction at the suite's table sizes. Bounded in slots and bytes;
+/// arrays beyond either bound are freed.
+class ArrayCache {
+ public:
+  void* take(std::size_t bytes) noexcept {
+    std::scoped_lock lock(mu_);
+    for (u32 i = 0; i < count_; ++i) {
+      if (arrays_[i].bytes != bytes) continue;
+      void* p = arrays_[i].p;
+      arrays_[i] = arrays_[--count_];
+      cached_bytes_ -= bytes;
+      return p;
+    }
+    return nullptr;
+  }
+  bool put(void* p, std::size_t bytes) noexcept {
+    std::scoped_lock lock(mu_);
+    if (count_ == arrays_.size() || cached_bytes_ + bytes > kMaxBytes) {
+      return false;
+    }
+    arrays_[count_++] = {p, bytes};
+    cached_bytes_ += bytes;
+    return true;
+  }
+
+ private:
+  static constexpr std::size_t kMaxBytes = 64u << 20;
+  struct Array {
+    void* p;
+    std::size_t bytes;
+  };
+  std::mutex mu_;
+  std::array<Array, 64> arrays_{};
+  u32 count_ = 0;
+  std::size_t cached_bytes_ = 0;
+};
+
+/// Never destroyed: tables may still be freed during static destruction.
+ArrayCache& array_cache() {
+  static auto* cache = new ArrayCache;
+  return *cache;
+}
+
 /// Backing store for the randomly-probed arrays. At DPDK-scale table sizes
 /// (hundreds of MB) random probes over 4 KiB pages miss the TLB on every
 /// access, and x86 drops software prefetches whose page walk misses — which
@@ -76,7 +126,8 @@ constexpr std::size_t kHugePage = 2u << 20;
 /// hugetlbfs-backed rte_hash, back every hugepage-sized array with 2 MiB
 /// pages: preferably from the explicit hugetlb pool (vm.nr_hugepages),
 /// otherwise as a transparent-hugepage hint the kernel may honor. Small
-/// arrays use the ordinary cache-line-aligned heap.
+/// arrays use the ordinary cache-line-aligned heap, recycled through
+/// ArrayCache.
 void* alloc_table_array(std::size_t bytes) {
 #ifdef __linux__
   if (bytes >= kHugePage) {
@@ -93,7 +144,10 @@ void* alloc_table_array(std::size_t bytes) {
     return p;
   }
 #endif
-  void* p = ::operator new[](bytes, std::align_val_t{kCacheLineSize});
+  void* p = array_cache().take(bytes);
+  if (p == nullptr) {
+    p = ::operator new[](bytes, std::align_val_t{kCacheLineSize});
+  }
   std::memset(p, 0, bytes);
   return p;
 }
@@ -105,7 +159,18 @@ void free_table_array(void* p, std::size_t bytes) noexcept {
     return;
   }
 #endif
+  if (array_cache().put(p, bytes)) return;
   ::operator delete[](p, std::align_val_t{kCacheLineSize});
+}
+
+/// Seqlock counters live in a table array too, so they recycle with it.
+std::atomic<u32>* alloc_versions(u32 capacity) {
+  return new (alloc_table_array(capacity * sizeof(std::atomic<u32>)))
+      std::atomic<u32>[capacity];
+}
+
+void free_versions(std::atomic<u32>* versions, u32 capacity) noexcept {
+  free_table_array(versions, capacity * sizeof(std::atomic<u32>));
 }
 
 }  // namespace
@@ -123,7 +188,7 @@ FlowTable::FlowTable(u32 capacity, u32 entry_size, CoreId owner)
   s.tags = static_cast<u8*>(alloc_table_array(capacity_));
   s.key_words =
       static_cast<u64*>(alloc_table_array(2ULL * capacity_ * sizeof(u64)));
-  s.versions = new std::atomic<u32>[capacity_]();
+  s.versions = alloc_versions(capacity_);
   s.data = static_cast<u8*>(
       alloc_table_array(static_cast<std::size_t>(capacity_) * stride_));
 }
@@ -133,7 +198,7 @@ FlowTable::~FlowTable() {
   for (u32 si = 0; si < nsegs; ++si) {
     Segment& s = segs_[si];
     free_table_array(s.data, static_cast<std::size_t>(capacity_) * stride_);
-    delete[] s.versions;
+    free_versions(s.versions, capacity_);
     free_table_array(s.key_words, 2ULL * capacity_ * sizeof(u64));
     free_table_array(s.tags, capacity_);
   }
@@ -145,7 +210,7 @@ void FlowTable::grow(u32 nsegs) {
   s.tags = static_cast<u8*>(alloc_table_array(capacity_));
   s.key_words =
       static_cast<u64*>(alloc_table_array(2ULL * capacity_ * sizeof(u64)));
-  s.versions = new std::atomic<u32>[capacity_]();
+  s.versions = alloc_versions(capacity_);
   s.data = static_cast<u8*>(
       alloc_table_array(static_cast<std::size_t>(capacity_) * stride_));
   // Release-publish: a reader that observes the new count also observes the

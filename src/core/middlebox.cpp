@@ -64,7 +64,8 @@ class SimMiddlebox::SimCore final : public sim::IEventTarget,
     if (tag == kTagHousekeeping) {
       // Control-plane maintenance: modeled as free in time (rare, small),
       // but its NF cycles are still accounted in the busy counter.
-      std::span<NfContext* const> ctxs{mbox_.ctx_ptrs_[engine_.id()]};
+      const std::span<NfContext* const> ctxs =
+          mbox_.core_contexts(engine_.id());
       mbox_.chain_.housekeeping(ctxs, mbox_.sim_.now());
       // Replication: broadcast housekeeping expiries right away.
       engine_.flush_state_sync();
@@ -163,64 +164,14 @@ SimMiddlebox::SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg,
       nic_(sim, adjust_nic_config(nic_cfg, cfg)) {
   SPRAYER_CHECK(cfg_.num_cores >= 1);
 
-  const u32 hops = chain_.num_hops();
-  hop_init_.resize(hops);
-  for (auto& hc : hop_init_) hc.state_strategy = cfg_.state.kind;
-  ChainInit chain_init;
-  chain_init.hop_cfgs = hop_init_;
-  chain_init.num_cores = cfg_.num_cores;
-  chain_init.lifecycle_sweep = cfg_.lifecycle.sweep;
-  chain_init.idle_timeout_override = cfg_.lifecycle.idle_timeout;
-  chain_init.housekeeping_interval = cfg_.housekeeping_interval;
-  chain_.init(chain_init);
-  stateless_chain_ = true;
-  for (u32 h = 0; h < hops; ++h) {
-    stateless_chain_ = stateless_chain_ && hop_init_[h].stateless;
-  }
-
-  // Per-hop flow tables, built by the state strategy (each hop has its own
-  // key space and entry size, so hops never share tables; the strategy
-  // decides shard vs replica vs one shared table).
-  strategy_ = state::StateStrategy::make(cfg_.state, cfg_.num_cores);
-  table_ptrs_.resize(hops);
-  for (u32 h = 0; h < hops; ++h) {
-    u32 table_capacity =
-        hop_init_[h].stateless ? 2u : hop_init_[h].flow_table_capacity;
-    if (!hop_init_[h].stateless && cfg_.lifecycle.flow_table_capacity != 0) {
-      table_capacity = cfg_.lifecycle.flow_table_capacity;
-    }
-    strategy_->add_hop(table_capacity, hop_init_[h].flow_entry_size);
-    const auto span = strategy_->hop_tables(h);
-    table_ptrs_[h].assign(span.begin(), span.end());
-    if (!hop_init_[h].stateless && cfg_.lifecycle.max_table_segments > 1) {
-      // Opt-in online growth (idempotent when the strategy aliases one
-      // shared table into every per-core slot).
-      for (FlowTable* t : table_ptrs_[h]) {
-        t->set_growth(cfg_.lifecycle.max_table_segments);
-      }
-    }
-  }
-  contexts_.resize(cfg_.num_cores);
-  ctx_ptrs_.resize(cfg_.num_cores);
+  init_chain(chain_, cfg_, /*registry=*/nullptr);
+  build_tables(cfg_);
   for (u32 c = 0; c < cfg_.num_cores; ++c) {
-    for (u32 h = 0; h < hops; ++h) {
-      contexts_[c].push_back(std::make_unique<NfContext>(
-          static_cast<CoreId>(c),
-          std::span<FlowTable* const>{table_ptrs_[h]}, picker_, cfg_.costs));
-      contexts_[c].back()->flows().set_bulk_enabled(cfg_.bulk_flow_lookup);
-      contexts_[c].back()->configure_state(
-          strategy_->view(static_cast<CoreId>(c), h));
-      ctx_ptrs_[c].push_back(contexts_[c].back().get());
-    }
-    // ctx_ptrs_[c] is complete (and ctx_ptrs_ fully sized) before the
-    // engine captures its span.
+    const auto core = static_cast<CoreId>(c);
     cores_.push_back(std::make_unique<SimCore>(
-        *this, static_cast<CoreId>(c),
-        std::span<NfContext* const>{ctx_ptrs_[c]}, stateless_chain_));
-    cores_.back()->engine().set_conn_redirect(
-        strategy_->redirects_connection_packets());
+        *this, core, build_contexts(core, picker_, cfg_), stateless_chain()));
     cores_.back()->engine().set_state_runtime(
-        strategy_->sync_runtime(static_cast<CoreId>(c)));
+        state_strategy().sync_runtime(core));
   }
 
   nic_.set_rx_listener(this);
@@ -250,14 +201,8 @@ MiddleboxReport SimMiddlebox::report() const {
     r.total.merge(c->engine().stats());
   }
   r.nic = nic_.counters();
-  for (const auto& hop : table_ptrs_) {
-    const FlowTable* prev = nullptr;
-    for (const FlowTable* t : hop) {
-      // Shared-locked aliases one table into every core slot; count it once.
-      if (t == prev) continue;
-      prev = t;
-      r.flow_entries += t->size();
-    }
+  for (u32 h = 0; h < num_hops(); ++h) {
+    r.flow_entries += state_strategy().live_flows(h);
   }
   r.flow_access = access_stats();
   return r;

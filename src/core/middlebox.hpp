@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/assembly.hpp"
 #include "core/chain.hpp"
 #include "core/config.hpp"
 #include "core/core_picker.hpp"
@@ -21,7 +22,6 @@
 #include "nic/nic.hpp"
 #include "sim/link.hpp"
 #include "sim/simulator.hpp"
-#include "state/strategy.hpp"
 
 namespace sprayer::core {
 
@@ -33,7 +33,7 @@ struct MiddleboxReport {
   FlowAccessStats flow_access;
 };
 
-class SimMiddlebox final : public nic::IRxListener {
+class SimMiddlebox final : public nic::IRxListener, public ChainAssembly {
  public:
   /// Single-NF convenience: wraps the NF in an owned one-hop DynamicChain.
   SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg, INetworkFunction& nf,
@@ -56,37 +56,7 @@ class SimMiddlebox final : public nic::IRxListener {
   [[nodiscard]] nic::SimNic& nic_dev() noexcept { return nic_; }
   [[nodiscard]] IChain& chain() noexcept { return chain_; }
   [[nodiscard]] u32 num_hops() const noexcept { return chain_.num_hops(); }
-  /// Hop 0's flow table on `core` (the whole table for single-NF setups;
-  /// shape per the state strategy — shard, replica, or shared alias).
-  [[nodiscard]] FlowTable& flow_table(CoreId core) noexcept {
-    return *table_ptrs_[0][core];
-  }
-  [[nodiscard]] FlowTable& hop_flow_table(u32 hop, CoreId core) noexcept {
-    return *table_ptrs_[hop][core];
-  }
-  /// The state strategy the tables were built from (DESIGN.md §14).
-  [[nodiscard]] state::StateStrategy& state_strategy() noexcept {
-    return *strategy_;
-  }
-  /// Hop 0's context on `core` (the whole context for single-NF setups).
-  [[nodiscard]] NfContext& context(CoreId core) noexcept {
-    return *contexts_[core][0];
-  }
-  [[nodiscard]] NfContext& hop_context(u32 hop, CoreId core) noexcept {
-    return *contexts_[core][hop];
-  }
   [[nodiscard]] const CorePicker& picker() const noexcept { return picker_; }
-
-  /// Aggregate observed flow-state access pattern across all cores and hops.
-  [[nodiscard]] FlowAccessStats access_stats() const {
-    FlowAccessStats total;
-    for (const auto& per_core : contexts_) {
-      for (const auto& ctx : per_core) {
-        total.merge(ctx->flows().access_stats());
-      }
-    }
-    return total;
-  }
 
   [[nodiscard]] MiddleboxReport report() const;
   /// Zero all middlebox-side counters (after warmup).
@@ -111,16 +81,8 @@ class SimMiddlebox final : public nic::IRxListener {
   SprayerConfig cfg_;
   std::unique_ptr<IChain> owned_chain_;  // declared before chain_ (ref target)
   IChain& chain_;
-  std::vector<NfInitConfig> hop_init_;
-  bool stateless_chain_ = false;
   CorePicker picker_;
   nic::SimNic nic_;
-  // Owns every flow table (shape depends on the strategy kind);
-  // table_ptrs_ caches its per-hop spans.
-  std::unique_ptr<state::StateStrategy> strategy_;
-  std::vector<std::vector<FlowTable*>> table_ptrs_;  // [hop][core]
-  std::vector<std::vector<std::unique_ptr<NfContext>>> contexts_;  // [core][hop]
-  std::vector<std::vector<NfContext*>> ctx_ptrs_;                  // [core][hop]
   std::vector<std::unique_ptr<SimCore>> cores_;
 };
 

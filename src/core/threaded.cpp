@@ -132,24 +132,8 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
     tracer_->register_metrics(registry_);
   }
 
-  const u32 hops = chain_.num_hops();
-  hop_init_.resize(hops);
-  for (auto& hc : hop_init_) hc.state_strategy = cfg_.state.kind;
-  if (cfg_.telemetry) {
-    for (auto& hc : hop_init_) hc.registry = &registry_;
-  }
-  ChainInit chain_init;
-  chain_init.hop_cfgs = hop_init_;
-  chain_init.num_cores = cfg_.num_cores;
-  chain_init.registry = cfg_.telemetry ? &registry_ : nullptr;
-  chain_init.hop_timing = cfg_.chain_hop_timing;
-  chain_init.lifecycle_sweep = cfg_.lifecycle.sweep;
-  chain_init.idle_timeout_override = cfg_.lifecycle.idle_timeout;
-  chain_init.housekeeping_interval = cfg_.housekeeping_interval;
-  chain_.init(chain_init);
+  init_chain(chain_, cfg_, cfg_.telemetry ? &registry_ : nullptr);
   if (cfg_.telemetry) registry_.finalize();
-  stateless_chain_ = true;
-  for (const auto& hc : hop_init_) stateless_chain_ &= hc.stateless;
   if (cfg_.reorder_observatory) {
     reorder_ = std::make_unique<telemetry::ReorderObservatory>();
   }
@@ -210,41 +194,10 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
     SPRAYER_CHECK_MSG(s.ok(), "failed to program Flow Director spraying");
   }
 
-  // Per-hop flow tables, built by the state strategy (each hop keys by its
-  // own tuple space and entry size, so hops never share a table; the
-  // strategy decides whether a hop gets per-core shards, per-core replicas,
-  // or one shared table).
-  strategy_ = state::StateStrategy::make(cfg_.state, cfg_.num_cores);
-  table_ptrs_.resize(hops);
-  for (u32 h = 0; h < hops; ++h) {
-    u32 table_capacity =
-        hop_init_[h].stateless ? 2u : hop_init_[h].flow_table_capacity;
-    if (!hop_init_[h].stateless && cfg_.lifecycle.flow_table_capacity != 0) {
-      table_capacity = cfg_.lifecycle.flow_table_capacity;
-    }
-    strategy_->add_hop(table_capacity, hop_init_[h].flow_entry_size);
-    const auto span = strategy_->hop_tables(h);
-    table_ptrs_[h].assign(span.begin(), span.end());
-    if (!hop_init_[h].stateless && cfg_.lifecycle.max_table_segments > 1) {
-      // Opt-in online growth (idempotent when the strategy aliases one
-      // shared table into every per-core slot).
-      for (FlowTable* t : table_ptrs_[h]) {
-        t->set_growth(cfg_.lifecycle.max_table_segments);
-      }
-    }
-  }
-  contexts_.resize(cfg_.num_cores);
-  ctx_ptrs_.resize(cfg_.num_cores);
+  build_tables(cfg_);
   for (u32 c = 0; c < cfg_.num_cores; ++c) {
-    for (u32 h = 0; h < hops; ++h) {
-      contexts_[c].push_back(std::make_unique<NfContext>(
-          static_cast<CoreId>(c),
-          std::span<FlowTable* const>{table_ptrs_[h]}, picker_, cfg_.costs));
-      contexts_[c].back()->flows().set_bulk_enabled(cfg_.bulk_flow_lookup);
-      contexts_[c].back()->configure_state(
-          strategy_->view(static_cast<CoreId>(c), h));
-      ctx_ptrs_[c].push_back(contexts_[c].back().get());
-    }
+    const std::span<NfContext* const> ctxs =
+        build_contexts(static_cast<CoreId>(c), picker_, cfg_);
     ports_.push_back(std::make_unique<CorePort>(*this,
                                                 static_cast<CoreId>(c)));
     ICorePort* port = ports_.back().get();
@@ -254,8 +207,8 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
       port = fault_ports_.back().get();
     }
     engines_.push_back(std::make_unique<SprayerCore>(
-        static_cast<CoreId>(c), cfg_, stateless_chain_, chain_, picker_,
-        std::span<NfContext* const>{ctx_ptrs_[c]}, *port));
+        static_cast<CoreId>(c), cfg_, stateless_chain(), chain_, picker_,
+        ctxs, *port));
     if (cfg_.telemetry) {
       engine_tm.shard = c;
       engines_.back()->set_telemetry(engine_tm);
@@ -266,58 +219,44 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
     if (live_ != nullptr) {
       engines_.back()->set_flow_recorder(recorders_[c].get());
     }
-    engines_.back()->set_conn_redirect(
-        strategy_->redirects_connection_packets());
     engines_.back()->set_state_runtime(
-        strategy_->sync_runtime(static_cast<CoreId>(c)));
+        state_strategy().sync_runtime(static_cast<CoreId>(c)));
     rx_rings_.push_back(std::make_unique<Ring>(cfg_.rx_ring_capacity));
   }
   if (cfg_.telemetry &&
-      cfg_.state.kind != state::StateStrategyKind::kWritingPartition) {
+      cfg_.state.kind == state::StateStrategyKind::kReplication) {
     // fn gauges may be registered after finalize(); the cells they read are
     // single-writer relaxed counters, safe to sample while workers run.
-    if (cfg_.state.kind == state::StateStrategyKind::kReplication) {
-      registry_.gauge_fn("state.sync.frames_sent", [this] {
-        return strategy_->sync_stats().frames_sent;
-      });
-      registry_.gauge_fn("state.sync.bytes_sent", [this] {
-        return strategy_->sync_stats().bytes_sent;
-      });
-      registry_.gauge_fn("state.sync.ops_sent", [this] {
-        return strategy_->sync_stats().ops_sent;
-      });
-      registry_.gauge_fn("state.sync.ops_applied", [this] {
-        return strategy_->sync_stats().ops_applied;
-      });
-      registry_.gauge_fn("state.sync.apply_failures", [this] {
-        return strategy_->sync_stats().apply_failures;
-      });
-      registry_.gauge_fn("state.sync.alloc_stalls", [this] {
-        return strategy_->sync_stats().alloc_stalls;
-      });
-      registry_.gauge_fn("state.divergence.mismatches", [this] {
-        return strategy_->divergence_mismatches();
-      });
-      registry_.gauge_fn("state.remote_reads_avoided", [this] {
-        u64 n = 0;
-        for (const auto& core_ctxs : contexts_) {
-          for (const auto& ctx : core_ctxs) {
-            n += ctx->flows().strategy_counters().remote_reads_avoided;
-          }
+    registry_.gauge_fn("state.sync.frames_sent", [this] {
+      return state_strategy().sync_stats().frames_sent;
+    });
+    registry_.gauge_fn("state.sync.bytes_sent", [this] {
+      return state_strategy().sync_stats().bytes_sent;
+    });
+    registry_.gauge_fn("state.sync.ops_sent", [this] {
+      return state_strategy().sync_stats().ops_sent;
+    });
+    registry_.gauge_fn("state.sync.ops_applied", [this] {
+      return state_strategy().sync_stats().ops_applied;
+    });
+    registry_.gauge_fn("state.sync.apply_failures", [this] {
+      return state_strategy().sync_stats().apply_failures;
+    });
+    registry_.gauge_fn("state.sync.alloc_stalls", [this] {
+      return state_strategy().sync_stats().alloc_stalls;
+    });
+    registry_.gauge_fn("state.divergence.mismatches", [this] {
+      return state_strategy().divergence_mismatches();
+    });
+    registry_.gauge_fn("state.remote_reads_avoided", [this] {
+      u64 n = 0;
+      for (u32 c = 0; c < cfg_.num_cores; ++c) {
+        for (NfContext* ctx : core_contexts(static_cast<CoreId>(c))) {
+          n += ctx->flows().strategy_counters().remote_reads_avoided;
         }
-        return n;
-      });
-    } else {
-      registry_.gauge_fn("state.lock_acquisitions", [this] {
-        u64 n = 0;
-        for (const auto& core_ctxs : contexts_) {
-          for (const auto& ctx : core_ctxs) {
-            n += ctx->flows().strategy_counters().lock_acquisitions;
-          }
-        }
-        return n;
-      });
-    }
+      }
+      return n;
+    });
   }
   if (adaptive_ != nullptr && cfg_.adaptive.p2c) {
     depth_probe_ = std::make_unique<RxDepthProbe>(*this);
@@ -443,7 +382,7 @@ bool ThreadedMiddlebox::inject(net::Packet* pkt) {
   }
   if (traced) tracer_->record_steer(*pkt, steady_now());
   if (live_ != nullptr) live_->maybe_tick(now);
-  const bool conn = !stateless_chain_ && pkt->is_tcp() &&
+  const bool conn = !stateless_chain() && pkt->is_tcp() &&
                     pkt->is_connection_packet();
   u64 spins = 0;
   const bool pushed = admit(*rx_rings_[queue], pkt, conn, spins);
@@ -528,7 +467,7 @@ u32 ThreadedMiddlebox::inject_bulk(std::span<net::Packet* const> pkts) {
       if (SPRAYER_UNLIKELY(n < group.size())) {
         const auto rejected = span.subspan(n);
         for (net::Packet* pkt : rejected) {
-          const bool conn = !stateless_chain_ && pkt->is_tcp() &&
+          const bool conn = !stateless_chain() && pkt->is_tcp() &&
                             pkt->is_connection_packet();
           ++(conn ? shed_cn : shed_reg);
         }
@@ -545,7 +484,7 @@ u32 ThreadedMiddlebox::inject_bulk(std::span<net::Packet* const> pkts) {
       shed_scratch_.clear();
       const u32 occupancy = static_cast<u32>(ring.size_approx());
       for (net::Packet* pkt : group) {
-        const bool conn = !stateless_chain_ && pkt->is_tcp() &&
+        const bool conn = !stateless_chain() && pkt->is_tcp() &&
                           pkt->is_connection_packet();
         if (!conn &&
             occupancy + admit_scratch_.size() >= rx_shed_threshold_) {
@@ -561,7 +500,7 @@ u32 ThreadedMiddlebox::inject_bulk(std::span<net::Packet* const> pkts) {
       if (SPRAYER_UNLIKELY(n < stage.size())) {
         const auto rejected = stage.subspan(n);
         for (net::Packet* pkt : rejected) {
-          const bool conn = !stateless_chain_ && pkt->is_tcp() &&
+          const bool conn = !stateless_chain() && pkt->is_tcp() &&
                             pkt->is_connection_packet();
           ++(conn ? shed_cn : shed_reg);
         }
@@ -572,7 +511,7 @@ u32 ThreadedMiddlebox::inject_bulk(std::span<net::Packet* const> pkts) {
     }
     // kBlock: per-descriptor admission — each push may have to wait.
     for (net::Packet* pkt : group) {
-      const bool conn = !stateless_chain_ && pkt->is_tcp() &&
+      const bool conn = !stateless_chain() && pkt->is_tcp() &&
                         pkt->is_connection_packet();
       if (admit(ring, pkt, conn, spins)) {
         ++accepted;
@@ -621,12 +560,12 @@ bool ThreadedMiddlebox::worker_body(CoreId core) {
       // needs the same update window as packet processing or a
       // consistent=true snapshot can observe the burst half-applied.
       registry_.begin_update(core);
-      chain_.housekeeping(ctx_ptrs_[core], now);
+      chain_.housekeeping(core_contexts(core), now);
       // Replication: housekeeping expiries (NAT TIME_WAIT removes) sit in
       // the op log until a packet would flush them — broadcast them now.
       engines_[core]->flush_state_sync();
       registry_.end_update(core);
-      for (NfContext* ctx : ctx_ptrs_[core]) {
+      for (NfContext* ctx : core_contexts(core)) {
         engines_[core]->stats().busy_cycles += ctx->drain_consumed();
       }
       // Halve this core's heavy-hitter sketch so it tracks a decayed rate

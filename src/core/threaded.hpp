@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/adaptive_spray.hpp"
+#include "core/assembly.hpp"
 #include "core/chain.hpp"
 #include "core/config.hpp"
 #include "core/core_picker.hpp"
@@ -40,7 +41,6 @@
 #include "nic/rss.hpp"
 #include "runtime/spsc_ring.hpp"
 #include "runtime/worker_group.hpp"
-#include "state/strategy.hpp"
 #include "telemetry/flow_export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/reorder.hpp"
@@ -49,7 +49,7 @@
 
 namespace sprayer::core {
 
-class ThreadedMiddlebox {
+class ThreadedMiddlebox : public ChainAssembly {
  public:
   /// `tx` receives every forwarded verdict batch, on worker threads.
   using TxBatchHandler = std::function<void(std::span<net::Packet* const>)>;
@@ -95,38 +95,6 @@ class ThreadedMiddlebox {
   [[nodiscard]] const SprayerConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] IChain& chain() noexcept { return chain_; }
   [[nodiscard]] u32 num_hops() const noexcept { return chain_.num_hops(); }
-  /// Hop 0's flow table on `core`: the core's owned shard under writing
-  /// partition, its full replica under replication, the one shared table
-  /// (whatever `core`) under shared-locked.
-  [[nodiscard]] FlowTable& flow_table(CoreId core) noexcept {
-    return *table_ptrs_[0][core];
-  }
-  [[nodiscard]] FlowTable& hop_flow_table(u32 hop, CoreId core) noexcept {
-    return *table_ptrs_[hop][core];
-  }
-  /// The state strategy the tables and engines were built from
-  /// (DESIGN.md §14) — for divergence checks and per-strategy stats.
-  [[nodiscard]] state::StateStrategy& state_strategy() noexcept {
-    return *strategy_;
-  }
-  /// Hop 0's context on `core` (the whole context for single-NF setups) —
-  /// for per-strategy counters and access stats; exact when workers idle.
-  [[nodiscard]] NfContext& context(CoreId core) noexcept {
-    return *contexts_[core][0];
-  }
-  [[nodiscard]] NfContext& hop_context(u32 hop, CoreId core) noexcept {
-    return *contexts_[core][hop];
-  }
-  /// Aggregate observed flow-state access pattern across all cores and hops.
-  [[nodiscard]] FlowAccessStats access_stats() const {
-    FlowAccessStats total;
-    for (const auto& per_core : contexts_) {
-      for (const auto& ctx : per_core) {
-        total.merge(ctx->flows().access_stats());
-      }
-    }
-    return total;
-  }
   [[nodiscard]] const CorePicker& picker() const noexcept { return picker_; }
   [[nodiscard]] CoreStats total_stats() const;
   /// One core's counters (read when workers are idle for exact values).
@@ -287,18 +255,10 @@ class ThreadedMiddlebox {
   std::unique_ptr<IChain> owned_chain_;  // declared before chain_ (ref target)
   IChain& chain_;
   TxBatchHandler tx_;
-  std::vector<NfInitConfig> hop_init_;  // one per hop, filled by chain init
-  bool stateless_chain_ = false;        // every hop stateless: never redirect
   CorePicker picker_;
   nic::RssEngine rss_;
   nic::FlowDirector fdir_;
 
-  // Owns every flow table (shape depends on the strategy kind) plus the
-  // replication runtimes; table_ptrs_ caches its per-hop spans.
-  std::unique_ptr<state::StateStrategy> strategy_;
-  std::vector<std::vector<FlowTable*>> table_ptrs_;  // [hop][core]
-  std::vector<std::vector<std::unique_ptr<NfContext>>> contexts_;  // [core][hop]
-  std::vector<std::vector<NfContext*>> ctx_ptrs_;                  // [core][hop]
   std::vector<std::unique_ptr<CorePort>> ports_;
   // Fault-injection wrappers interposed between engine and CorePort when
   // SprayerConfig::transfer_fault is enabled (empty otherwise).

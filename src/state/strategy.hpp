@@ -1,21 +1,19 @@
 // Pluggable flow-state strategies (DESIGN.md §14).
 //
-// The StateStrategy object is the control plane: it owns the flow tables in
-// whatever topology its strategy needs, hands per-(core, hop) views to
-// FlowStateApi (state/view.hpp — the non-virtual data plane), and exposes
-// the audit/telemetry surface the executors wire up. One strategy instance
-// serves one middlebox (all hops, all cores).
+// The StateStrategy object is the control plane: it owns the flow tables,
+// hands per-(core, hop) views to FlowStateApi (state/view.hpp — the
+// non-virtual data plane), and exposes the audit/telemetry surface the
+// executors wire up. One strategy instance serves one middlebox (all hops,
+// all cores).
 //
-// Table topology by strategy, for an NF that asked for per-core capacity C
-// on N cores:
-//   writing-partition — N tables of C, table[c] owned and written by core c
-//                       (the paper's layout, byte-for-byte);
+// Both strategies own N tables per hop, table[c] written only by core c.
+// For an NF that asked for per-core capacity C on N cores:
+//   writing-partition — N shards of C, table[c] owned by core c (the
+//                       paper's layout, byte-for-byte);
 //   replication       — N replicas of C*bit_ceil(N) each (every replica
-//                       holds the whole flow space), table[c] written only
-//                       by core c: NF handlers on the sequencer, sync-frame
-//                       replay everywhere else — still single-writer;
-//   shared-locked     — ONE table of C*bit_ceil(N), aliased into every
-//                       per-core slot, guarded by a StripedLock.
+//                       holds the whole flow space): NF handlers write the
+//                       sequencer's replica, sync-frame replay every other
+//                       one — still single-writer.
 #pragma once
 
 #include <memory>
@@ -29,8 +27,8 @@
 
 namespace sprayer::state {
 
-/// Replica-equality audit result (replication only; other strategies report
-/// all-zero). Quiescent callers only: tables are walked unlocked.
+/// Replica-equality audit result (replication only; the writing partition
+/// reports all-zero). Quiescent callers only: tables are walked unlocked.
 struct DivergenceReport {
   u64 entries_compared = 0;
   u64 mismatched_entries = 0;  // present on both sides, different bytes
@@ -69,18 +67,26 @@ class StateStrategy {
   [[nodiscard]] virtual StateStrategyKind kind() const noexcept = 0;
   [[nodiscard]] const char* name() const noexcept { return to_string(kind()); }
   [[nodiscard]] u32 num_cores() const noexcept { return num_cores_; }
-  [[nodiscard]] virtual u32 num_hops() const noexcept = 0;
+  [[nodiscard]] u32 num_hops() const noexcept {
+    return static_cast<u32>(tables_.size());
+  }
 
   /// Declare the next chain hop (call once per hop, in hop order, before
-  /// any view/table accessor). `capacity` is the per-designated-core
-  /// capacity the NF asked for; strategies scale it as their topology
-  /// requires. Stateless hops pass a minimal capacity like the executors
-  /// always have.
-  virtual void add_hop(u32 capacity, u32 entry_size) = 0;
+  /// any view/table accessor): one table per core, each sized `capacity`
+  /// (the per-designated-core capacity the NF asked for) times the
+  /// strategy's scale. Stateless hops pass a minimal capacity like the
+  /// executors always have.
+  void add_hop(u32 capacity, u32 entry_size);
 
-  /// One FlowTable* per core for `hop` (entries alias for shared-locked).
-  [[nodiscard]] virtual std::span<FlowTable* const> hop_tables(
-      u32 hop) noexcept = 0;
+  /// One FlowTable* per core for `hop`.
+  [[nodiscard]] std::span<FlowTable* const> hop_tables(u32 hop) noexcept {
+    return ptrs_[hop];
+  }
+
+  /// Live flows of `hop`, each counted once: the sum over the shards here,
+  /// one replica's size under replication (every replica holds every flow).
+  /// Exact for quiescent callers.
+  [[nodiscard]] virtual u64 live_flows(u32 hop) const noexcept;
 
   /// Data-plane view for FlowStateApi of (core, hop).
   [[nodiscard]] virtual CoreStateView view(CoreId core, u32 hop) noexcept = 0;
@@ -89,12 +95,6 @@ class StateStrategy {
   [[nodiscard]] virtual SyncRuntime* sync_runtime(CoreId core) noexcept {
     (void)core;
     return nullptr;
-  }
-
-  /// False when connection packets should run on their arrival core
-  /// instead of redirecting to the designated core (shared-locked).
-  [[nodiscard]] virtual bool redirects_connection_packets() const noexcept {
-    return true;
   }
 
   /// Compare every replica against core 0's; counts land in the report and
@@ -113,9 +113,15 @@ class StateStrategy {
   [[nodiscard]] virtual SyncStatsSnapshot sync_stats() const { return {}; }
 
  protected:
-  explicit StateStrategy(u32 num_cores) : num_cores_(num_cores) {}
+  /// `capacity_scale` multiplies every hop's per-core capacity: 1 for
+  /// shards, bit_ceil(num_cores) for tables that hold the whole flow space.
+  StateStrategy(u32 num_cores, u32 capacity_scale)
+      : num_cores_(num_cores), capacity_scale_(capacity_scale) {}
 
   u32 num_cores_;
+  u32 capacity_scale_;
+  std::vector<std::vector<std::unique_ptr<FlowTable>>> tables_;  // [hop][core]
+  std::vector<std::vector<FlowTable*>> ptrs_;                    // [hop][core]
   RelaxedU64 divergence_checks_;
   RelaxedU64 divergence_mismatches_;
 };

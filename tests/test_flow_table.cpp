@@ -3,6 +3,8 @@
 // batch-lookup equivalence with the scalar path under randomized churn.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <map>
 #include <thread>
 #include <vector>
@@ -57,6 +59,34 @@ TEST(FlowTable, NewEntriesAreZeroed) {
   for (int i = 0; i < 16; ++i) {
     EXPECT_EQ(static_cast<u8*>(b)[i], 0) << i;
   }
+}
+
+TEST(FlowTable, RebuiltTableStartsEmpty) {
+  // A table built right after an equal-shape one is destroyed reuses its
+  // arrays; every tag, key, seqlock counter and entry must read as new.
+  constexpr u32 kFlows = 40;
+  {
+    FlowTable old(64, 16, 0);
+    for (u32 i = 0; i < kFlows; ++i) {
+      auto* e = static_cast<u8*>(old.insert(tuple_n(i)));
+      ASSERT_NE(e, nullptr);
+      std::memset(e, 0xab, 16);
+    }
+  }
+  FlowTable table(64, 16, 0);
+  EXPECT_EQ(table.size(), 0u);
+  u32 visited = 0;
+  table.for_each([&](const net::FiveTuple&, void*) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+  for (u32 i = 0; i < kFlows; ++i) {
+    EXPECT_EQ(table.find_remote(tuple_n(i)), nullptr);
+  }
+  const auto* e = static_cast<const u8*>(table.insert(tuple_n(0)));
+  ASSERT_NE(e, nullptr);
+  for (u32 b = 0; b < 16; ++b) EXPECT_EQ(e[b], 0u);
+  EXPECT_EQ(FlowTable::last_seen(e), 0u);
+  std::array<u8, 16> copy{};
+  EXPECT_TRUE(table.read_consistent(tuple_n(0), copy));
 }
 
 TEST(FlowTable, RespectsMaxLoadFactor) {

@@ -321,18 +321,9 @@ void settle(ThreadedMiddlebox& mbox, u32 millis = 25) {
   mbox.wait_idle();
 }
 
-/// Live flow entries, respecting the strategy's table layout (count the
-/// shared/replica table once).
-u64 live_entries(ThreadedMiddlebox& mbox,
-                 state::StateStrategyKind kind) {
-  if (kind == state::StateStrategyKind::kWritingPartition) {
-    u64 n = 0;
-    for (u32 c = 0; c < kCores; ++c) {
-      n += mbox.flow_table(static_cast<CoreId>(c)).size();
-    }
-    return n;
-  }
-  return mbox.flow_table(0).size();
+/// Live flow entries, each counted once whatever the strategy's layout.
+u64 live_entries(ThreadedMiddlebox& mbox) {
+  return mbox.state_strategy().live_flows(0);
 }
 
 SprayerConfig lifecycle_cfg(state::StateStrategyKind kind, Time idle) {
@@ -349,7 +340,6 @@ SprayerConfig lifecycle_cfg(state::StateStrategyKind kind, Time idle) {
 constexpr state::StateStrategyKind kAllKinds[] = {
     state::StateStrategyKind::kWritingPartition,
     state::StateStrategyKind::kReplication,
-    state::StateStrategyKind::kSharedLocked,
 };
 
 // --- teardown: FIN handshake leaves zero state, under every strategy --------
@@ -380,7 +370,7 @@ void fin_teardown_under(state::StateStrategyKind kind) {
   const auto totals = monitor.aggregate();
   EXPECT_EQ(totals.connections_opened, flows.size());
   EXPECT_EQ(totals.connections_closed, flows.size());
-  EXPECT_EQ(live_entries(mbox, kind), 0u) << "stranded entries after FINs";
+  EXPECT_EQ(live_entries(mbox), 0u) << "stranded entries after FINs";
   mbox.stop();
   EXPECT_EQ(pool.available(), pool.size());
 }
@@ -390,9 +380,6 @@ TEST(FinTeardown, WritingPartition) {
 }
 TEST(FinTeardown, Replication) {
   fin_teardown_under(state::StateStrategyKind::kReplication);
-}
-TEST(FinTeardown, SharedLocked) {
-  fin_teardown_under(state::StateStrategyKind::kSharedLocked);
 }
 
 // --- the double-FIN bug: retransmitted FINs must not close ------------------
@@ -417,15 +404,13 @@ TEST(FinTeardown, RetransmittedFinStaysOpenMonitor) {
   }
   settle(mbox);
   EXPECT_EQ(monitor.aggregate().connections_closed, 0u);
-  EXPECT_EQ(live_entries(mbox, state::StateStrategyKind::kWritingPartition),
-            1u);
+  EXPECT_EQ(live_entries(mbox), 1u);
   // The peer's FIN completes the handshake.
   must_inject(mbox, pool, f.reversed(),
               net::TcpFlags::kFin | net::TcpFlags::kAck);
   settle(mbox);
   EXPECT_EQ(monitor.aggregate().connections_closed, 1u);
-  EXPECT_EQ(live_entries(mbox, state::StateStrategyKind::kWritingPartition),
-            0u);
+  EXPECT_EQ(live_entries(mbox), 0u);
   mbox.stop();
 }
 
@@ -492,7 +477,7 @@ void nat_idle_aging_under(state::StateStrategyKind kind) {
   }
   settle(mbox);
   EXPECT_EQ(nat.port_pool().claimed(), 0u) << "leaked NAT ports";
-  EXPECT_EQ(live_entries(mbox, kind), 0u) << "stranded NAT entries";
+  EXPECT_EQ(live_entries(mbox), 0u) << "stranded NAT entries";
   EXPECT_EQ(nat.counters().sessions_expired, flows.size());
   if (kind == state::StateStrategyKind::kReplication) {
     const auto report = mbox.state_strategy().check_divergence();
@@ -510,9 +495,6 @@ TEST(IdleAging, NatReleasesPortsWritingPartition) {
 }
 TEST(IdleAging, NatReleasesPortsReplication) {
   nat_idle_aging_under(state::StateStrategyKind::kReplication);
-}
-TEST(IdleAging, NatReleasesPortsSharedLocked) {
-  nat_idle_aging_under(state::StateStrategyKind::kSharedLocked);
 }
 
 TEST(IdleAging, ActiveTrafficKeepsSessionsAlive) {
@@ -730,9 +712,22 @@ TEST(SimAging, KeepAliveReplication) {
   sim_keepalive_under(state::StateStrategyKind::kReplication, false);
   sim_keepalive_under(state::StateStrategyKind::kReplication, true);
 }
-TEST(SimAging, KeepAliveSharedLocked) {
-  sim_keepalive_under(state::StateStrategyKind::kSharedLocked, false);
-  sim_keepalive_under(state::StateStrategyKind::kSharedLocked, true);
+
+// --- report(): every live flow counted once, whatever the layout -------------
+
+TEST(SimReport, FlowEntriesCountEachLiveFlowOnce) {
+  // Every replica holds every flow: summing the per-core tables would count
+  // each flow once per core under replication.
+  for (const auto kind : kAllKinds) {
+    nf::MonitorNf monitor;
+    SimRig rig(sim_cfg(kind, 0, 0), monitor);
+    const auto flows = nic::random_tcp_flows(16, 29);
+    for (const auto& f : flows) rig.send(f, net::TcpFlags::kSyn);
+    rig.advance(kMillisecond);
+    ASSERT_EQ(monitor.aggregate().connections_opened, flows.size());
+    EXPECT_EQ(rig.mbox.report().flow_entries, flows.size())
+        << "under " << state::to_string(kind);
+  }
 }
 
 // --- table_full: the silent-drop bug is now observable -----------------------
@@ -807,8 +802,7 @@ TEST(ResizeUnderLoad, GrowthAbsorbsSynFloodWhileCoresRun) {
   }
   settle(mbox);
   EXPECT_EQ(monitor.aggregate().connections_closed, kFlows);
-  EXPECT_EQ(live_entries(mbox, state::StateStrategyKind::kWritingPartition),
-            0u);
+  EXPECT_EQ(live_entries(mbox), 0u);
   mbox.stop();
   EXPECT_EQ(pool.available(), pool.size());
 }
